@@ -213,6 +213,15 @@ grep -Eq 'key-classes +1$' "$WORK/count1.out"
     --trace "$WORK/count.jsonl" > /dev/null
 "$GLK" trace-check "$WORK/count.jsonl" --sites count
 "$GLK" fuzz --seed 11 --cases 60 --referee count-vs-exhaustive
+# Campaign corruptibility rows are scored on a worker pool: one worker and
+# the default worker count must render byte-identical reports.
+printf 'bench s27 s298\nlocker xor 3\nlocker gk 1\nattack sat\ncount 3 0.3 26 16\n' \
+    > "$WORK/count.spec"
+GLITCHLOCK_THREADS=1 "$GLK" campaign --spec "$WORK/count.spec" --jobs 2 \
+    --out "$WORK/count-t1" > /dev/null
+"$GLK" campaign --spec "$WORK/count.spec" --jobs 2 --out "$WORK/count-tn" > /dev/null
+cmp "$WORK/count-t1.report.txt" "$WORK/count-tn.report.txt"
+cmp "$WORK/count-t1.report.json" "$WORK/count-tn.report.json"
 
 # sat_solver bench smoke: trimmed tiers, 1 ms measurement windows, no
 # snapshot rewrite — proves the harness (both backends, obs counters,

@@ -2,17 +2,26 @@
 //!
 //! To estimate the number of projected solutions of a formula, each round
 //! draws a full stack of random XOR parity rows ([`crate::xor`]), encodes
-//! them once with fresh selector variables, and binary-searches the
-//! smallest activated prefix `m` whose residual cell holds at most
-//! `pivot` solutions — activation is pure assumption literals, so **one**
-//! solver instance carries every search step and every round. The round
-//! estimate is `cells × 2^m`; the median of `t` rounds is within a factor
-//! `1+ε` of the true count with probability at least `1−δ`
-//! (Chakraborty, Meel, Vardi).
+//! them once with fresh selector variables, and searches for the smallest
+//! activated prefix `m` whose residual cell holds at most `pivot`
+//! solutions. Activation is pure assumption literals — rows `1..=m` on,
+//! the round's other rows assumed off — so **one** solver instance
+//! carries every search step and every round. The round estimate is
+//! `cells × 2^m`; the median of `t` rounds is within a factor `1+ε` of
+//! the true count with probability at least `1−δ` (Chakraborty, Meel,
+//! Vardi).
 //!
-//! Cells are enumerated by projected blocking clauses under a per-round
-//! guard variable, retired with one unit clause after the round, so
-//! blocked cells never leak between rounds.
+//! The search ([`crossover`]) is ApproxMC2's LogSATSearch: the first
+//! round bisects `[1, n]`, later rounds gallop outward from the previous
+//! round's crossover, where the next one almost always lies. Rows share a
+//! prefix, so `cells(m)` is monotone in `m` and the crossover is unique —
+//! where the search starts changes the solver calls spent, never the
+//! estimate.
+//!
+//! A finished round is retired with unit clauses `¬s` on its selectors,
+//! which satisfy every clause of its rows for good. Cells are enumerated
+//! by projected blocking clauses under a per-probe guard variable,
+//! retired the same way, so blocked cells never leak between probes.
 //!
 //! When the whole projected space already fits under the pivot the count
 //! is **exact** and reported as such — the `m = 0` shortcut that also
@@ -127,6 +136,56 @@ fn enumerate_cells<S: IncrementalSolver>(
     count
 }
 
+/// The smallest `m ∈ [1, n]` with `cells(m) ≤ pivot`, with its cell
+/// count; `None` when even `m = n` leaves more than `pivot`.
+///
+/// `cells` must be monotone non-increasing in `m`, and `cells(0)` is
+/// taken to exceed `pivot`; the crossover is then unique and any search
+/// that brackets it finds the same one. Without `start` this bisects
+/// `[1, n]`. With `start` it first gallops from there — steps of 1, 2,
+/// 4, … in the direction `cells(start)` points — until the crossover is
+/// bracketed, then bisects the bracket. No `m` is probed twice.
+fn crossover(
+    n: usize,
+    pivot: u64,
+    start: Option<usize>,
+    mut cells: impl FnMut(usize) -> u64,
+) -> Option<(usize, u64)> {
+    let mut memo: Vec<Option<u64>> = vec![None; n + 1];
+    let mut above = |m: usize| *memo[m].get_or_insert_with(|| cells(m)) > pivot;
+    // Invariant: cells(lo) > pivot, and hi = n + 1 or cells(hi) <= pivot.
+    let (mut lo, mut hi) = (0, n + 1);
+    if let Some(start) = start {
+        let mut m = start.clamp(1, n);
+        let mut step = 1;
+        loop {
+            if above(m) {
+                lo = m;
+                if m + step >= hi {
+                    break;
+                }
+                m += step;
+            } else {
+                hi = m;
+                if m <= lo + step {
+                    break;
+                }
+                m -= step;
+            }
+            step *= 2;
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if above(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (hi <= n).then(|| (hi, memo[hi].expect("the crossover was probed")))
+}
+
 /// Estimates the number of assignments to `projection` extendable to a
 /// model of the solver's formula under `base` assumptions.
 ///
@@ -161,9 +220,10 @@ pub fn approx_count<S: IncrementalSolver + CnfSink>(
     let n = projection.len();
     let t = params.iterations();
     let mut estimates: Vec<f64> = Vec::with_capacity(t);
+    let mut resume: Option<usize> = None;
     for _ in 0..t {
         // One full row stack per round; prefixes share rows so the cell
-        // count is monotone non-increasing in m and binary search applies.
+        // count is monotone non-increasing in m.
         let rows = draw_rows(n, n, rng);
         let sels: Vec<Var> = rows
             .iter()
@@ -175,24 +235,19 @@ pub fn approx_count<S: IncrementalSolver + CnfSink>(
             .collect();
         xor_rows += n as u64;
 
-        let mut lo = 1usize;
-        let mut hi = n;
-        let mut found: Option<(usize, u64)> = None;
-        while lo <= hi {
-            let mid = lo + (hi - lo) / 2;
+        let found = crossover(n, pivot, resume, |m| {
             let mut assum = base.to_vec();
-            assum.extend(sels[..mid].iter().map(|&s| Lit::pos(s)));
-            let cells = enumerate_cells(solver, &assum, projection, pivot, &mut solver_calls);
-            if cells <= pivot {
-                found = Some((mid, cells));
-                if mid == 1 {
-                    break;
-                }
-                hi = mid - 1;
-            } else {
-                lo = mid + 1;
-            }
+            assum.extend(
+                sels.iter()
+                    .enumerate()
+                    .map(|(i, &s)| Lit::with_sign(s, i >= m)),
+            );
+            enumerate_cells(solver, &assum, projection, pivot, &mut solver_calls)
+        });
+        for &s in &sels {
+            solver.add_clause(&[Lit::neg(s)]);
         }
+        resume = found.map(|(m, _)| m).or(resume);
         match found {
             // An empty cell at the crossover is a failed round (ApproxMC
             // reports no estimate); skip it rather than log a zero.
@@ -224,7 +279,7 @@ pub fn approx_count<S: IncrementalSolver + CnfSink>(
 mod tests {
     use super::*;
     use glitchlock_sat::{Solver, SolverBackend};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn free_vars(solver: &mut Solver, n: usize) -> Vec<Var> {
         // Touch each variable with a tautological pair so the solver
@@ -339,6 +394,146 @@ mod tests {
             "{misses} envelope misses over {} seeds (budget {budget})",
             seeds.len()
         );
+    }
+
+    /// The estimator as it stood before the crossover search: every round
+    /// bisects `[1, n]` from scratch, probes switch on a row prefix and
+    /// leave the rest of the round's rows unassumed, and finished rounds
+    /// are never retired. Kept as an independent referee for
+    /// [`crossover`] and the row switching.
+    fn reference_count(
+        solver: &mut Solver,
+        projection: &[Var],
+        params: &CountParams,
+        rng: &mut StdRng,
+    ) -> ApproxCount {
+        let pivot = params.pivot();
+        let mut solver_calls = 0u64;
+        let whole = enumerate_cells(solver, &[], projection, pivot, &mut solver_calls);
+        if whole <= pivot {
+            return ApproxCount {
+                estimate: whole as f64,
+                exact: Some(whole),
+                solver_calls,
+                xor_rows: 0,
+            };
+        }
+        let n = projection.len();
+        let mut estimates = Vec::new();
+        for _ in 0..params.iterations() {
+            let rows = draw_rows(n, n, rng);
+            let sels: Vec<Var> = rows
+                .iter()
+                .map(|row| {
+                    let s = solver.new_var();
+                    encode_row_into(solver, projection, row, Some(s));
+                    s
+                })
+                .collect();
+            let (mut lo, mut hi) = (1usize, n);
+            let mut found: Option<(usize, u64)> = None;
+            while lo <= hi {
+                let mid = lo + (hi - lo) / 2;
+                let assum: Vec<Lit> = sels[..mid].iter().map(|&s| Lit::pos(s)).collect();
+                let cells = enumerate_cells(solver, &assum, projection, pivot, &mut solver_calls);
+                if cells <= pivot {
+                    found = Some((mid, cells));
+                    if mid == 1 {
+                        break;
+                    }
+                    hi = mid - 1;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            if let Some((m, cells)) = found.filter(|&(_, c)| c > 0) {
+                estimates.push(cells as f64 * (2f64).powi(m as i32));
+            }
+        }
+        estimates.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        ApproxCount {
+            estimate: estimates
+                .get(estimates.len() / 2)
+                .copied()
+                .unwrap_or((pivot + 1) as f64),
+            exact: None,
+            solver_calls,
+            xor_rows: (n * params.iterations()) as u64,
+        }
+    }
+
+    /// A random CNF over `p` projected and 3 hidden variables: short
+    /// clauses over all of them, few enough that the projected count
+    /// usually clears the pivot.
+    fn random_cnf(solver: &mut Solver, p: usize, rng: &mut StdRng) -> Vec<Var> {
+        let projection = free_vars(solver, p);
+        let hidden = free_vars(solver, 3);
+        let all: Vec<Var> = projection.iter().chain(&hidden).copied().collect();
+        for _ in 0..p / 2 {
+            let clause: Vec<Lit> = (0..3)
+                .map(|_| Lit::with_sign(all[rng.gen_range(0..all.len())], rng.gen::<bool>()))
+                .collect();
+            solver.add_clause(&clause);
+        }
+        projection
+    }
+
+    #[test]
+    fn crossover_search_matches_the_bisecting_reference() {
+        let mut hashed = 0;
+        for seed in 0..24u64 {
+            let mut draw = StdRng::seed_from_u64(1000 + seed);
+            let p = draw.gen_range(8..13usize);
+            let params = if seed % 2 == 0 {
+                CountParams::default()
+            } else {
+                CountParams::new(3.0, 0.3).unwrap()
+            };
+            let run = |reference: bool| {
+                let mut solver = Solver::new();
+                let projection = random_cnf(&mut solver, p, &mut StdRng::seed_from_u64(seed));
+                let mut rng = StdRng::seed_from_u64(7 * seed + 1);
+                if reference {
+                    reference_count(&mut solver, &projection, &params, &mut rng)
+                } else {
+                    approx_count(&mut solver, &[], &projection, &params, &mut rng)
+                }
+            };
+            let (got, want) = (run(false), run(true));
+            assert_eq!(got.estimate, want.estimate, "seed {seed}: estimate");
+            assert_eq!(got.exact, want.exact, "seed {seed}: exact");
+            assert!(
+                got.solver_calls <= want.solver_calls,
+                "seed {seed}: {} solver calls vs the reference's {}",
+                got.solver_calls,
+                want.solver_calls
+            );
+            hashed += want.exact.is_none() as usize;
+        }
+        assert!(
+            hashed >= 20,
+            "only {hashed} instances reached the hash path"
+        );
+    }
+
+    #[test]
+    fn crossover_finds_the_first_cell_at_or_below_the_pivot() {
+        // cells(m) = 2^(10 - m): the crossover for pivot 9 is m = 7.
+        for start in [None, Some(1), Some(5), Some(7), Some(8), Some(10), Some(30)] {
+            let mut probed = Vec::new();
+            let got = crossover(10, 9, start, |m| {
+                probed.push(m);
+                1 << (10 - m)
+            });
+            assert_eq!(got, Some((7, 8)), "start {start:?}");
+            assert!(probed.contains(&6), "start {start:?}: must see 6 above");
+            let mut unique = probed.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), probed.len(), "start {start:?}: {probed:?}");
+        }
+        assert_eq!(crossover(4, 1, Some(2), |_| 5), None, "never at or below");
+        assert_eq!(crossover(4, 9, Some(3), |_| 5), Some((1, 5)));
     }
 
     #[test]

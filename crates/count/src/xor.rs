@@ -9,11 +9,14 @@
 //! the CNF underneath.
 //!
 //! Encoding: the XOR chain is lowered through fresh auxiliary variables
-//! (`tᵢ ↔ tᵢ₋₁ ⊕ xᵢ`, four clauses each). The chain definitions are
-//! unguarded — they only define the aux variables and are inert while the
-//! row is inactive — and the final parity demand is a single clause
-//! guarded by a selector literal, so a row costs one assumption to switch
-//! on and nothing to switch off.
+//! (`tᵢ ↔ tᵢ₋₁ ⊕ xᵢ`, four clauses each). With a selector `s`, *every*
+//! clause of the row — chain definitions and the final parity demand —
+//! carries the guard `¬s`. Assuming `s` switches the row on; assuming
+//! `¬s` (or adding it as a unit once the row is done with) satisfies
+//! all of its clauses, so the solver neither propagates through the
+//! chain nor has to settle its aux variables. Unguarded chains are not
+//! inert: CDCL keeps propagating through and branching on them long
+//! after their row stopped mattering.
 
 use glitchlock_sat::{CnfSink, Lit, Var};
 use rand::rngs::StdRng;
@@ -41,9 +44,9 @@ pub fn draw_rows(n: usize, count: usize, rng: &mut StdRng) -> Vec<ParityRow> {
         .collect()
 }
 
-/// Encodes `row` over `vars` into `sink`. With `sel = Some(s)` the parity
-/// demand is guarded by `¬s` (assume `s` to activate the row); with
-/// `None` it is a hard unit constraint.
+/// Encodes `row` over `vars` into `sink`. With `sel = Some(s)` every
+/// clause of the row is guarded by `¬s` (assume `s` to activate the row,
+/// `¬s` to switch it off); with `None` the row is a hard constraint.
 ///
 /// Degenerate shapes: an empty row with parity 1 emits the bare guard
 /// clause (assuming the selector is then contradictory — the row demands
@@ -56,12 +59,13 @@ pub fn draw_rows(n: usize, count: usize, rng: &mut StdRng) -> Vec<ParityRow> {
 pub fn encode_row_into<S: CnfSink>(sink: &mut S, vars: &[Var], row: &ParityRow, sel: Option<Var>) {
     let mut lits = row.positions.iter().map(|&p| Lit::pos(vars[p]));
     let guard = sel.map(Lit::neg);
+    let emit = |sink: &mut S, lits: &[Lit]| match guard {
+        Some(g) => sink.clause(&[&[g], lits].concat()),
+        None => sink.clause(lits),
+    };
     let Some(first) = lits.next() else {
         if row.parity {
-            match guard {
-                Some(g) => sink.clause(&[g]),
-                None => sink.clause(&[]),
-            }
+            emit(sink, &[]);
         }
         return;
     };
@@ -69,18 +73,14 @@ pub fn encode_row_into<S: CnfSink>(sink: &mut S, vars: &[Var], row: &ParityRow, 
     for lit in lits {
         let y = sink.fresh_var();
         // y <-> acc xor lit.
-        sink.clause(&[Lit::neg(y), acc, lit]);
-        sink.clause(&[Lit::neg(y), !acc, !lit]);
-        sink.clause(&[Lit::pos(y), !acc, lit]);
-        sink.clause(&[Lit::pos(y), acc, !lit]);
+        emit(sink, &[Lit::neg(y), acc, lit]);
+        emit(sink, &[Lit::neg(y), !acc, !lit]);
+        emit(sink, &[Lit::pos(y), !acc, lit]);
+        emit(sink, &[Lit::pos(y), acc, !lit]);
         acc = Lit::pos(y);
     }
     // Demand acc = parity.
-    let demand = if row.parity { acc } else { !acc };
-    match guard {
-        Some(g) => sink.clause(&[g, demand]),
-        None => sink.clause(&[demand]),
-    }
+    emit(sink, &[if row.parity { acc } else { !acc }]);
 }
 
 #[cfg(test)]
@@ -153,6 +153,33 @@ mod tests {
                     let got = solver.solve_with(&assum) == SatResult::Sat;
                     assert_eq!(got, want, "m={m} assignment {assignment:04b}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn switched_off_rows_constrain_neither_bits_nor_aux_variables() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..20 {
+            let row = draw_rows(4, 1, &mut rng).remove(0);
+            let mut solver = Solver::new();
+            let vars = base_vars(&mut solver, 4);
+            let s = solver.new_var();
+            encode_row_into(&mut solver, &vars, &row, Some(s));
+            // Every variable allocated after the selector is a chain aux.
+            let all: Vec<Var> = vars
+                .iter()
+                .copied()
+                .chain((s.0 + 1..solver.num_vars()).map(Var))
+                .collect();
+            for assignment in 0u32..1 << all.len() {
+                let mut assum = pin(&all, assignment);
+                assum.push(Lit::neg(s));
+                assert_eq!(
+                    solver.solve_with(&assum),
+                    SatResult::Sat,
+                    "row {row:?} assignment {assignment:b}"
+                );
             }
         }
     }

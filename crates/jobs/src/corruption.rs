@@ -8,11 +8,19 @@
 //! seeds both derive from the spec fingerprint), so `--jobs 1`,
 //! `--jobs 8`, sharded, and resumed campaigns render byte-identical
 //! reports without journaling a single extra field.
+//!
+//! The cells are independent, so [`corruption_rows`] scores them on the
+//! [`parallel_map`] workers and returns them in spec order; the worker
+//! count changes only the wall time, never a row. Nothing is cached
+//! between calls: every report render computes its rows afresh
+//! ([`crate::report::render_reports`] renders both documents from one
+//! computation).
 
 use crate::job::{lock, resolve_bench, LockerKind};
+use crate::pool::parallel_map;
 use crate::spec::{fnv1a64, CampaignSpec};
 use glitchlock_count::{corruption_scores, Score, ScoreConfig, ScoreMethod};
-use glitchlock_obs::json::Value;
+use glitchlock_obs::{self as obs, json::Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -47,56 +55,61 @@ pub struct CorruptionRow {
 /// randomness (locking and hash draws) is seeded from the spec
 /// fingerprint, so the rows — like the rest of the report — are a pure
 /// function of the spec.
+///
+/// Each worker re-enters the caller's [`obs::current`] collector, so the
+/// `count.*` counters land where a serial call would put them.
 pub fn corruption_rows(spec: &CampaignSpec) -> Vec<CorruptionRow> {
     let Some(directive) = spec.count else {
         return Vec::new();
     };
     let fingerprint = fnv1a64(&spec.render());
-    let mut rows = Vec::new();
-    for bench in &spec.benches {
-        for &(locker, width) in &spec.lockers {
-            let cell = format!("{}{width}", locker.tag());
-            let salt = fnv1a64(&format!("count/{bench}/{cell}"));
-            let seed = fingerprint ^ salt;
-            let mut row = CorruptionRow {
-                bench: bench.clone(),
-                cell,
-                method: "error".to_string(),
-                data_bits: 0,
-                key_bits: 0,
-                err: None,
-                dip: None,
-                wrong_keys: None,
-                key_classes: None,
-                detail: String::new(),
-            };
-            let cfg = ScoreConfig {
-                epsilon: directive.epsilon,
-                delta: directive.delta,
-                exact_bits: directive.exact_bits,
-                max_bits: directive.max_bits,
-                solver: spec.solver,
-                encoder: spec.encoder,
-                seed,
-            };
-            match score_cell(bench, locker, width, seed, &cfg) {
-                Ok(scores) => {
-                    row.method = scores.method.tag().to_string();
-                    row.data_bits = scores.data_bits;
-                    row.key_bits = scores.key_bits;
-                    if scores.method != ScoreMethod::Skipped {
-                        row.err = Some(scores.err);
-                        row.dip = Some(scores.dip);
-                        row.wrong_keys = Some(scores.wrong_keys);
-                        row.key_classes = scores.key_classes;
-                    }
+    let cells: Vec<(&String, LockerKind, usize)> = spec
+        .benches
+        .iter()
+        .flat_map(|bench| spec.lockers.iter().map(move |&(l, w)| (bench, l, w)))
+        .collect();
+    let outer = obs::current();
+    parallel_map(&cells, |&(bench, locker, width)| {
+        let cell = format!("{}{width}", locker.tag());
+        let salt = fnv1a64(&format!("count/{bench}/{cell}"));
+        let seed = fingerprint ^ salt;
+        let mut row = CorruptionRow {
+            bench: bench.clone(),
+            cell,
+            method: "error".to_string(),
+            data_bits: 0,
+            key_bits: 0,
+            err: None,
+            dip: None,
+            wrong_keys: None,
+            key_classes: None,
+            detail: String::new(),
+        };
+        let cfg = ScoreConfig {
+            epsilon: directive.epsilon,
+            delta: directive.delta,
+            exact_bits: directive.exact_bits,
+            max_bits: directive.max_bits,
+            solver: spec.solver,
+            encoder: spec.encoder,
+            seed,
+        };
+        match obs::scoped(&outer, || score_cell(bench, locker, width, seed, &cfg)) {
+            Ok(scores) => {
+                row.method = scores.method.tag().to_string();
+                row.data_bits = scores.data_bits;
+                row.key_bits = scores.key_bits;
+                if scores.method != ScoreMethod::Skipped {
+                    row.err = Some(scores.err);
+                    row.dip = Some(scores.dip);
+                    row.wrong_keys = Some(scores.wrong_keys);
+                    row.key_classes = scores.key_classes;
                 }
-                Err(e) => row.detail = e,
             }
-            rows.push(row);
+            Err(e) => row.detail = e,
         }
-    }
-    rows
+        row
+    })
 }
 
 fn score_cell(
@@ -248,6 +261,24 @@ mod tests {
             Some(4),
             "2^k: all keys"
         );
+    }
+
+    #[test]
+    fn parallel_cells_report_into_the_callers_collector() {
+        let spec = CampaignSpec::parse(
+            "bench s27\nlocker xor 2\nlocker gk 2\nlocker sarlock 2\nattack sat\n\
+             count 3 0.3 26 16\n",
+        )
+        .unwrap();
+        let collector = std::sync::Arc::new(obs::Collector::new());
+        let rows = obs::scoped(&collector, || corruption_rows(&spec));
+        assert_eq!(rows.len(), 3);
+        assert_eq!(
+            collector.counter(glitchlock_obs::names::COUNT_RUNS).get(),
+            rows.len() as u64,
+            "every cell's count run lands in the caller's collector"
+        );
+        assert_eq!(rows, corruption_rows(&spec), "repeat calls agree");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! spec and seeds render byte-identical reports under `--jobs 1`,
 //! `--jobs 8`, or a kill-and-resume.
 
+use crate::corruption::{self, corruption_rows, CorruptionRow};
 use crate::journal::JobRecord;
 use crate::spec::CampaignSpec;
 use glitchlock_obs::json::Value;
@@ -53,8 +54,30 @@ fn write_breakdown(out: &mut String, title: &str, by_key: BTreeMap<&str, BTreeMa
     }
 }
 
+/// Renders the text and the JSON report from one computation of the
+/// corruptibility rows, the costly part of a counted report. Each
+/// document is byte-identical to what [`render_text`] and [`render_json`]
+/// return on their own.
+pub fn render_reports(spec: &CampaignSpec, records: &[JobRecord]) -> (String, String) {
+    let rows = corruption_rows(spec);
+    (
+        text_with(spec, records, &rows),
+        json_with(spec, records, &rows),
+    )
+}
+
 /// Renders the text report.
 pub fn render_text(spec: &CampaignSpec, records: &[JobRecord]) -> String {
+    text_with(spec, records, &corruption_rows(spec))
+}
+
+/// Renders the JSON report (canonical: sorted keys, compact, one trailing
+/// newline).
+pub fn render_json(spec: &CampaignSpec, records: &[JobRecord]) -> String {
+    json_with(spec, records, &corruption_rows(spec))
+}
+
+fn text_with(spec: &CampaignSpec, records: &[JobRecord], rows: &[CorruptionRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "campaign report (spec {})", spec.hash());
     let counts = status_counts(records);
@@ -93,14 +116,12 @@ pub fn render_text(spec: &CampaignSpec, records: &[JobRecord]) -> String {
     );
     if spec.count.is_some() {
         let _ = writeln!(out);
-        crate::corruption::write_text(&mut out, &crate::corruption::corruption_rows(spec));
+        corruption::write_text(&mut out, rows);
     }
     out
 }
 
-/// Renders the JSON report (canonical: sorted keys, compact, one trailing
-/// newline).
-pub fn render_json(spec: &CampaignSpec, records: &[JobRecord]) -> String {
+fn json_with(spec: &CampaignSpec, records: &[JobRecord], rows: &[CorruptionRow]) -> String {
     let mut root = BTreeMap::new();
     root.insert("kind".to_string(), Value::Str("campaign-report".into()));
     root.insert(
@@ -128,11 +149,7 @@ pub fn render_json(spec: &CampaignSpec, records: &[JobRecord]) -> String {
         .collect();
     root.insert("jobs".to_string(), Value::Arr(jobs));
     if spec.count.is_some() {
-        let rows = crate::corruption::corruption_rows(spec);
-        root.insert(
-            "corruptibility".to_string(),
-            crate::corruption::rows_json(&rows),
-        );
+        root.insert("corruptibility".to_string(), corruption::rows_json(rows));
     }
     format!("{}\n", Value::Obj(root))
 }
@@ -183,6 +200,19 @@ mod tests {
         assert!(text.contains("gk2"), "{text}");
         assert!(text.contains("per-attack verdicts"), "{text}");
         assert!(text.contains("key-recovered=1"), "{text}");
+    }
+
+    #[test]
+    fn both_reports_at_once_match_the_single_renders() {
+        let spec = CampaignSpec::parse(
+            "bench s27\nlocker xor 2\nlocker gk 1\nattack sat\ncount 3 0.3 26 16\n",
+        )
+        .unwrap();
+        let recs = [record("s27/xor2/sat/s1", "key-recovered", 1)];
+        let (text, json) = render_reports(&spec, &recs);
+        assert!(text.contains("corruptibility"), "{text}");
+        assert_eq!(text, render_text(&spec, &recs));
+        assert_eq!(json, render_json(&spec, &recs));
     }
 
     #[test]

@@ -1286,8 +1286,7 @@ fn write_campaign_reports(
 ) -> Result<(), String> {
     use glitchlock::jobs::report;
 
-    let text_report = report::render_text(spec, records);
-    let json_report = report::render_json(spec, records);
+    let (text_report, json_report) = report::render_reports(spec, records);
     let txt_path = format!("{out}.report.txt");
     let json_path = format!("{out}.report.json");
     std::fs::write(&txt_path, &text_report).map_err(|e| format!("cannot write {txt_path}: {e}"))?;

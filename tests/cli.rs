@@ -1,7 +1,7 @@
 //! End-to-end tests of the `glk` command-line tool.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn glk() -> Command {
     Command::new(env!("CARGO_BIN_EXE_glk"))
@@ -13,18 +13,32 @@ fn write_s27(dir: &std::path::Path) -> PathBuf {
     path
 }
 
-fn tempdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("glk-test-{}", std::process::id()));
+/// A fresh directory for one test: tests run in parallel, and a shared
+/// directory would let one test rewrite files another is reading.
+fn tempdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("glk-test-{}-{test}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
+/// Asserts the child exited successfully, showing its output otherwise.
+fn assert_ok(out: &Output) {
+    assert!(
+        out.status.success(),
+        "{}\nstdout:\n{}\nstderr:\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn stats_and_sta_report() {
-    let dir = tempdir();
+    let dir = tempdir("stats_and_sta_report");
     let bench = write_s27(&dir);
     let out = glk().arg("stats").arg(&bench).output().unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("cells    13 (10 gates + 3 flip-flops)"));
     assert!(text.contains("inputs   4"));
@@ -35,14 +49,14 @@ fn stats_and_sta_report() {
         .args(["--period-ns", "3"])
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("timing met    true"), "{text}");
 }
 
 #[test]
 fn lock_gk_then_attack_round_trip() {
-    let dir = tempdir();
+    let dir = tempdir("lock_gk_then_attack_round_trip");
     let bench = write_s27(&dir);
     let prefix = dir.join("s27gk");
     let out = glk()
@@ -52,11 +66,7 @@ fn lock_gk_then_attack_round_trip() {
         .args(["--gks", "2", "--seed", "7"])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_ok(&out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("locked with 2 GKs (4 key inputs)"));
     let attack_file = format!("{}.attack.bench", prefix.display());
@@ -69,7 +79,7 @@ fn lock_gk_then_attack_round_trip() {
         .arg(&bench)
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("UNSAT at iteration 1"),
@@ -79,7 +89,7 @@ fn lock_gk_then_attack_round_trip() {
 
 #[test]
 fn lock_xor_then_attack_cracks() {
-    let dir = tempdir();
+    let dir = tempdir("lock_xor_then_attack_cracks");
     let bench = write_s27(&dir);
     let locked = dir.join("s27x.bench");
     let out = glk()
@@ -89,21 +99,21 @@ fn lock_xor_then_attack_cracks() {
         .args(["--bits", "4", "--seed", "9"])
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let out = glk()
         .arg("attack")
         .arg(&locked)
         .arg(&bench)
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("CRACKED"), "{text}");
 }
 
 #[test]
 fn verify_accepts_correct_key_and_rejects_wrong() {
-    let dir = tempdir();
+    let dir = tempdir("verify_accepts_correct_key_and_rejects_wrong");
     let bench = write_s27(&dir);
     let prefix = dir.join("s27v");
     let out = glk()
@@ -113,7 +123,7 @@ fn verify_accepts_correct_key_and_rejects_wrong() {
         .args(["--gks", "2", "--seed", "3"])
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let text = String::from_utf8_lossy(&out.stdout);
     // The tool prints a ready-to-run verify line with the compact key.
     let key = text
@@ -133,7 +143,7 @@ fn verify_accepts_correct_key_and_rejects_wrong() {
         .output()
         .unwrap();
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{text}");
+    assert_ok(&out);
     assert!(text.contains("KEY ACCEPTED"), "{text}");
 
     // Flip one bit: rejected.
@@ -154,7 +164,7 @@ fn verify_accepts_correct_key_and_rejects_wrong() {
 
 #[test]
 fn sim_writes_vcd() {
-    let dir = tempdir();
+    let dir = tempdir("sim_writes_vcd");
     let bench = write_s27(&dir);
     let vcd = dir.join("s27.vcd");
     let out = glk()
@@ -164,7 +174,7 @@ fn sim_writes_vcd() {
         .arg(&vcd)
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let dump = std::fs::read_to_string(&vcd).unwrap();
     assert!(dump.contains("$timescale 1ps $end"));
     assert!(dump.contains("$enddefinitions $end"));
@@ -187,7 +197,7 @@ fn errors_are_reported() {
 #[test]
 fn help_lists_every_subcommand() {
     let out = glk().arg("help").output().unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let text = String::from_utf8_lossy(&out.stdout);
     for sub in [
         "stats",
@@ -234,7 +244,7 @@ fn assert_schema_valid(trace: &std::path::Path) {
 
 #[test]
 fn attack_supports_trace_and_metrics() {
-    let dir = tempdir();
+    let dir = tempdir("attack_supports_trace_and_metrics");
     let bench = write_s27(&dir);
     let prefix = dir.join("s27obs");
     let out = glk()
@@ -244,7 +254,7 @@ fn attack_supports_trace_and_metrics() {
         .args(["--gks", "2", "--xor-bits", "3", "--seed", "7"])
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let attack_file = format!("{}.attack.bench", prefix.display());
 
     let trace = dir.join("attack-cli.jsonl");
@@ -257,11 +267,7 @@ fn attack_supports_trace_and_metrics() {
         .args(["--metrics"])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_ok(&out);
     assert_schema_valid(&trace);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("metrics:"), "{text}");
@@ -275,7 +281,7 @@ fn attack_supports_trace_and_metrics() {
         .args(["--metrics", "--metrics-format", "json"])
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line = stdout.lines().last().unwrap();
     let v = glitchlock::obs::json::parse(line).expect("json metrics parse");
@@ -288,16 +294,12 @@ fn attack_supports_trace_and_metrics() {
         .args(["--sites", "attack"])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_ok(&out);
 }
 
 #[test]
 fn sim_and_fuzz_support_trace_flags() {
-    let dir = tempdir();
+    let dir = tempdir("sim_and_fuzz_support_trace_flags");
     let bench = write_s27(&dir);
 
     let sim_trace = dir.join("sim-cli.jsonl");
@@ -309,7 +311,7 @@ fn sim_and_fuzz_support_trace_flags() {
         .arg(&sim_trace)
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert_ok(&out);
     assert_schema_valid(&sim_trace);
 
     let fuzz_trace = dir.join("fuzz-cli.jsonl");
@@ -321,11 +323,7 @@ fn sim_and_fuzz_support_trace_flags() {
         .args(["--metrics"])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert_ok(&out);
     assert_schema_valid(&fuzz_trace);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("fuzz.cases"), "{text}");
