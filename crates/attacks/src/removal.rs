@@ -4,6 +4,15 @@
 //! the flip signal their comparator produces is almost always 0. Signal
 //! probability analysis locates such nets; bypassing them (tying the flip
 //! to its skewed value) restores the original function without any key.
+//! [`removal_attack`] runs the whole flow for one locked view: skew scan,
+//! key-taint prune, then a full-design check of every candidate bypass and,
+//! failing that, a retry restricted to the outputs each candidate reaches.
+//! Every check goes through one [`BypassCheck`]: the view and the oracle
+//! are compiled once, and a bypass is evaluated by pinning the candidate
+//! net to its constant in the view's program ([`EvalProgram::eval_forced`])
+//! rather than by rebuilding the netlist. [`bypass_net`] still performs the
+//! rebuild, for callers that want the bypassed netlist itself; the tests
+//! use it as the referee for the forced evaluation.
 //!
 //! For TDK delay locking the attack is structural: strip the tunable delay
 //! buffer, re-synthesize, and hand the remaining functional key-gates to
@@ -16,8 +25,8 @@
 
 use glitchlock_core::locking::TdkLocked;
 use glitchlock_netlist::{
-    fanout_cone, Aig, CellId, CombView, EvalProgram, GateKind, Logic, NetId, Netlist, PackedLogic,
-    LANES,
+    fanout_cone, random_words, CellId, CombView, EvalProgram, GateKind, Logic, NetId, Netlist,
+    PackedBuf, PackedLogic, LANES,
 };
 use glitchlock_obs::{self as obs, names};
 use rand::Rng;
@@ -58,24 +67,30 @@ impl SkewReport {
 /// evaluated bit-parallel (64 patterns per pass through the compiled
 /// program). Per-net `1` counts fall out of a single popcount per word.
 pub fn signal_skew<R: Rng>(netlist: &Netlist, samples: usize, rng: &mut R) -> SkewReport {
-    let view = CombView::new(netlist);
     let program = EvalProgram::compile(netlist).expect("netlist is acyclic");
-    let mut buf = program.scratch();
+    skew_with(netlist, &program, &mut program.scratch(), samples, rng)
+}
+
+/// [`signal_skew`] through an already compiled program for `netlist`.
+fn skew_with<R: Rng>(
+    netlist: &Netlist,
+    program: &EvalProgram,
+    buf: &mut PackedBuf,
+    samples: usize,
+    rng: &mut R,
+) -> SkewReport {
     let mut ones = vec![0usize; netlist.net_count()];
     let mut done = 0usize;
     while done < samples {
         let lanes = LANES.min(samples - done);
         let mask: u64 = if lanes == LANES { !0 } else { (1 << lanes) - 1 };
-        // Sample-major draws keep the RNG stream identical to the scalar
-        // one-pattern-at-a-time loop this replaces.
-        let mut words = vec![PackedLogic::splat(Logic::Zero); view.num_inputs()];
-        for lane in 0..lanes {
-            for w in words.iter_mut() {
-                w.set(lane, Logic::from_bool(rng.gen()));
-            }
-        }
-        let (pi, qs) = words.split_at(netlist.input_nets().len());
-        program.eval(pi, Some(qs), &mut buf);
+        let words = random_words(
+            || rng.gen(),
+            program.num_inputs() + program.num_dffs(),
+            lanes,
+        );
+        let (pi, qs) = words.split_at(program.num_inputs());
+        program.eval(pi, Some(qs), buf);
         for (i, count) in ones.iter_mut().enumerate() {
             *count += (buf.net(NetId::from_index(i)).val & mask).count_ones() as usize;
         }
@@ -155,7 +170,17 @@ pub fn locate_point_function_tainted<R: Rng>(
     rng: &mut R,
 ) -> Vec<NetId> {
     let skew = signal_skew(netlist, samples, rng);
-    let all = skewed_output_xor_feeds(netlist, &skew, threshold);
+    tainted_candidates(netlist, key_inputs, &skew, threshold)
+}
+
+/// The key-tainted [`skewed_output_xor_feeds`] of an existing skew scan.
+fn tainted_candidates(
+    netlist: &Netlist,
+    key_inputs: &[NetId],
+    skew: &SkewReport,
+    threshold: f64,
+) -> Vec<NetId> {
+    let all = skewed_output_xor_feeds(netlist, skew, threshold);
     let taint = glitchlock_dataflow::taint_facts(
         netlist,
         key_inputs,
@@ -173,7 +198,7 @@ pub fn locate_point_function_tainted<R: Rng>(
     obs::event("result", "locate_point_function_tainted")
         .u64("candidates", found.len() as u64)
         .u64("pruned", pruned)
-        .u64("samples", samples as u64)
+        .u64("samples", skew.samples() as u64)
         .emit();
     found
 }
@@ -258,75 +283,212 @@ pub fn reachable_view_outputs(netlist: &Netlist, net: NetId) -> Vec<usize> {
     keep
 }
 
-/// Verifies a bypass on the extracted cone: compares only the view
-/// outputs in `keep_outputs` (as from [`reachable_view_outputs`]) between
-/// the bypassed netlist under `key` and the oracle, over random patterns.
+/// Match rates at or above this count as a restored function: with fewer
+/// than a million samples only a perfect score reaches it.
+const PERFECT: f64 = 0.999_999;
+
+/// One removal job's bypass verifier. It answers one question, many
+/// times: does the view, with net `n` tied to `v` and every key input at
+/// 0, match the oracle on random patterns? The view and the oracle are
+/// compiled once; each check pins `n` in the view's program with
+/// [`EvalProgram::eval_forced`] instead of rebuilding the netlist.
 ///
-/// A bypass can only change the outputs its net reaches, yet full-design
-/// verification also demands every *other* output match — which fails
-/// whenever key-gates elsewhere corrupt them under the all-zero key. The
-/// cone restriction answers the question the removal attack actually
-/// asks: did the bypass restore the logic it touched? Both sides are
-/// evaluated through AIG cone extraction, which is also far cheaper than
-/// a full-netlist comparison on benchmark-scale designs.
+/// A check draws its patterns exactly as [`crate::sat_attack::key_match_rate`]
+/// does (one bit per oracle view input, pattern by pattern), so a rate
+/// equals that of the rebuilt [`bypass_net`] netlist under the same RNG.
+pub struct BypassCheck {
+    view: EvalProgram,
+    oracle: EvalProgram,
+    view_buf: PackedBuf,
+    oracle_buf: PackedBuf,
+    /// Per view input (primary inputs, then flip-flop Qs): a key pin.
+    is_key: Vec<bool>,
+    view_words: Vec<PackedLogic>,
+    view_outputs: Vec<NetId>,
+    oracle_outputs: Vec<NetId>,
+    /// The output indices a full-design check compares.
+    all_outputs: Vec<usize>,
+}
+
+impl BypassCheck {
+    /// Compiles `view` (the locked netlist as the attacker sees it, with
+    /// `key_inputs` among its primary inputs) and `oracle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either netlist is cyclic, or if the view's non-key inputs
+    /// do not align with the oracle's view inputs.
+    pub fn new(view: &Netlist, key_inputs: &[NetId], oracle: &Netlist) -> Self {
+        let lv = CombView::new(view);
+        let ov = CombView::new(oracle);
+        let is_key: Vec<bool> = lv
+            .input_nets()
+            .iter()
+            .map(|n| key_inputs.contains(n))
+            .collect();
+        assert_eq!(
+            is_key.iter().filter(|&&k| !k).count(),
+            ov.num_inputs(),
+            "view data inputs must align with the oracle view"
+        );
+        let view_program = EvalProgram::compile(view).expect("view netlist is acyclic");
+        let oracle_program = EvalProgram::compile(oracle).expect("oracle netlist is acyclic");
+        BypassCheck {
+            view_buf: view_program.scratch(),
+            oracle_buf: oracle_program.scratch(),
+            view: view_program,
+            oracle: oracle_program,
+            view_words: vec![PackedLogic::ZERO; is_key.len()],
+            is_key,
+            view_outputs: lv.output_nets().to_vec(),
+            oracle_outputs: ov.output_nets().to_vec(),
+            all_outputs: (0..lv.num_outputs().min(ov.num_outputs())).collect(),
+        }
+    }
+
+    /// Fraction of `samples` random patterns on which the view with `net`
+    /// tied to `value` matches the oracle. `keep: None` compares every
+    /// view output; `Some(keep)` only the listed view output indices (as
+    /// from [`reachable_view_outputs`]): a bypass can only change the
+    /// outputs its net reaches, while key-gates elsewhere may corrupt the
+    /// rest under the all-zero key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index in `keep` is out of range for either view.
+    pub fn rate<R: Rng>(
+        &mut self,
+        net: NetId,
+        value: bool,
+        keep: Option<&[usize]>,
+        samples: usize,
+        rng: &mut R,
+    ) -> f64 {
+        obs::incr(names::REMOVAL_BYPASS_CHECKS);
+        let forced = [(net, PackedLogic::splat(Logic::from_bool(value)))];
+        let keep = keep.unwrap_or(&self.all_outputs);
+        let mut matches = 0usize;
+        let mut done = 0usize;
+        while done < samples {
+            let lanes = LANES.min(samples - done);
+            let data = random_words(
+                || rng.gen(),
+                self.oracle.num_inputs() + self.oracle.num_dffs(),
+                lanes,
+            );
+            let mut next = data.iter();
+            for (w, &key) in self.view_words.iter_mut().zip(&self.is_key) {
+                *w = if key {
+                    PackedLogic::ZERO
+                } else {
+                    *next.next().expect("aligned in new")
+                };
+            }
+            let (pi, qs) = self.view_words.split_at(self.view.num_inputs());
+            self.view
+                .eval_forced(pi, Some(qs), &forced, &mut self.view_buf);
+            let (pi, qs) = data.split_at(self.oracle.num_inputs());
+            self.oracle.eval(pi, Some(qs), &mut self.oracle_buf);
+            let mismatch = keep.iter().fold(0u64, |m, &j| {
+                let g = self.view_buf.net(self.view_outputs[j]);
+                let e = self.oracle_buf.net(self.oracle_outputs[j]);
+                m | (g.known ^ e.known) | ((g.val ^ e.val) & g.known & e.known)
+            });
+            let mask: u64 = if lanes == LANES { !0 } else { (1 << lanes) - 1 };
+            matches += (!mismatch & mask).count_ones() as usize;
+            done += lanes;
+        }
+        matches as f64 / samples as f64
+    }
+}
+
+/// How [`removal_attack`] ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RemovalVerdict {
+    /// No skewed, key-tainted net feeds an output XOR/XNOR.
+    NothingLocated,
+    /// Tying this net restored the whole design.
+    Removed(NetId),
+    /// Tying this net restored every output it reaches, but not the
+    /// design: key-gates elsewhere still corrupt other outputs.
+    ConeBypassed(NetId),
+    /// Candidates were located, but no bypass passed either check.
+    NotRemoved,
+}
+
+/// The result of one [`removal_attack`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RemovalOutcome {
+    /// The verdict class, with the bypassed net where there is one.
+    pub verdict: RemovalVerdict,
+    /// Candidates left after the key-taint prune.
+    pub candidates: usize,
+    /// Best full-design match rate over every bypass tried.
+    pub best_rate: f64,
+    /// Best cone match rate (0 unless the cone retry ran).
+    pub cone_best: f64,
+}
+
+/// The skew-removal attack on one locked view: locate point-function
+/// candidates ([`locate_point_function_tainted`] at `threshold`), then try
+/// each candidate tied to 0 and to 1 against the oracle on the full design.
+/// If no bypass restores the design, retry each on the outputs it reaches
+/// ([`reachable_view_outputs`]). Key inputs are held at 0 throughout.
+///
+/// The RNG is consumed in a fixed order: the skew scan, then every full
+/// check in (candidate, value) order, then every cone check; each check
+/// draws `samples` patterns.
 ///
 /// # Panics
 ///
-/// Panics when the bypassed view's non-key inputs do not align with the
-/// oracle's view inputs, or an index in `keep_outputs` is out of range.
-pub fn cone_bypass_match_rate<R: Rng>(
-    bypassed: &Netlist,
+/// Panics under the conditions of [`BypassCheck::new`].
+pub fn removal_attack<R: Rng>(
+    view: &Netlist,
     key_inputs: &[NetId],
-    key: &[bool],
     oracle: &Netlist,
-    keep_outputs: &[usize],
     samples: usize,
+    threshold: f64,
     rng: &mut R,
-) -> f64 {
-    let lv = CombView::new(bypassed);
-    let ov = CombView::new(oracle);
-    let data_positions: Vec<usize> = lv
-        .input_nets()
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| !key_inputs.contains(n))
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(
-        data_positions.len(),
-        ov.num_inputs(),
-        "bypassed data inputs must align with the oracle view"
-    );
-    let key_values: Vec<(usize, bool)> = lv
-        .input_nets()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, n)| {
-            key_inputs
-                .iter()
-                .position(|k| k == n)
-                .map(|pos| (i, key[pos]))
-        })
-        .collect();
-    let lcone = Aig::from_comb(bypassed, &lv).extract_cone(keep_outputs);
-    let ocone = Aig::from_comb(oracle, &ov).extract_cone(keep_outputs);
-    let mut matches = 0usize;
-    for _ in 0..samples {
-        let data: Vec<bool> = (0..ov.num_inputs()).map(|_| rng.gen()).collect();
-        let mut lin = vec![false; lv.num_inputs()];
-        for (di, &p) in data_positions.iter().enumerate() {
-            lin[p] = data[di];
-        }
-        for &(p, v) in &key_values {
-            lin[p] = v;
-        }
-        let got_in: Vec<bool> = lcone.support.iter().map(|&k| lin[k]).collect();
-        let expect_in: Vec<bool> = ocone.support.iter().map(|&k| data[k]).collect();
-        if lcone.aig.eval(&got_in) == ocone.aig.eval(&expect_in) {
-            matches += 1;
+) -> RemovalOutcome {
+    let _span = obs::span("attack.removal");
+    let mut check = BypassCheck::new(view, key_inputs, oracle);
+    let skew = skew_with(view, &check.view, &mut check.view_buf, samples, rng);
+    let candidates = tainted_candidates(view, key_inputs, &skew, threshold);
+    let mut outcome = RemovalOutcome {
+        verdict: RemovalVerdict::NothingLocated,
+        candidates: candidates.len(),
+        best_rate: 0.0,
+        cone_best: 0.0,
+    };
+    if candidates.is_empty() {
+        return outcome;
+    }
+    for &net in &candidates {
+        for value in [false, true] {
+            let rate = check.rate(net, value, None, samples, rng);
+            outcome.best_rate = outcome.best_rate.max(rate);
+            if rate >= PERFECT {
+                outcome.verdict = RemovalVerdict::Removed(net);
+                return outcome;
+            }
         }
     }
-    matches as f64 / samples as f64
+    for &net in &candidates {
+        let keep = reachable_view_outputs(view, net);
+        if keep.is_empty() {
+            continue;
+        }
+        for value in [false, true] {
+            let rate = check.rate(net, value, Some(&keep), samples, rng);
+            outcome.cone_best = outcome.cone_best.max(rate);
+            if rate >= PERFECT {
+                outcome.verdict = RemovalVerdict::ConeBypassed(net);
+                return outcome;
+            }
+        }
+    }
+    outcome.verdict = RemovalVerdict::NotRemoved;
+    outcome
 }
 
 /// A located GK-shaped structure: a 2:1 MUX whose select is a primary
@@ -565,29 +727,139 @@ mod tests {
         locked.mark_output(y2k, "y2");
 
         let mut rng = StdRng::seed_from_u64(35);
-        let bypassed = bypass_net(&locked, flip, false);
-        let keys: Vec<NetId> = bypassed.net_by_name("k0").into_iter().collect();
-        let full_rate = crate::sat_attack::key_match_rate(
-            &bypassed,
-            &keys,
-            &vec![false; keys.len()],
-            &original,
-            256,
-            &mut rng,
-        );
+        let keys: Vec<NetId> = locked.net_by_name("k0").into_iter().collect();
+        let mut check = BypassCheck::new(&locked, &keys, &original);
+        let full_rate = check.rate(flip, false, None, 256, &mut rng);
         assert!(full_rate < 0.999, "the y2 key-gate must fail full verify");
         let keep = reachable_view_outputs(&locked, flip);
         assert_eq!(keep, vec![0], "the flip reaches only y1");
-        let cone_rate = cone_bypass_match_rate(
-            &bypassed,
-            &keys,
-            &vec![false; keys.len()],
-            &original,
-            &keep,
-            256,
-            &mut rng,
-        );
+        let cone_rate = check.rate(flip, false, Some(&keep), 256, &mut rng);
         assert_eq!(cone_rate, 1.0, "the bypass restores its own cone exactly");
+    }
+
+    /// The rebuilt bypass: `bypass_net` plus the view's key inputs found
+    /// again by name (the rebuild renumbers nets).
+    fn rebuilt(view: &Netlist, keys: &[NetId], net: NetId, value: bool) -> (Netlist, Vec<NetId>) {
+        let bypassed = bypass_net(view, net, value);
+        let keys = keys
+            .iter()
+            .map(|&k| {
+                bypassed
+                    .net_by_name(view.net(k).name())
+                    .expect("key input survives the rebuild")
+            })
+            .collect();
+        (bypassed, keys)
+    }
+
+    /// Scalar referee for a cone check: the rebuilt bypass and the oracle
+    /// evaluated one pattern at a time through `CombView::eval`, compared
+    /// on the `keep` outputs only, with the keys at 0.
+    fn scalar_cone_rate(
+        bypassed: &Netlist,
+        keys: &[NetId],
+        oracle: &Netlist,
+        keep: &[usize],
+        samples: usize,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let bv = CombView::new(bypassed);
+        let ov = CombView::new(oracle);
+        let mut matches = 0usize;
+        for _ in 0..samples {
+            let data: Vec<Logic> = (0..ov.num_inputs())
+                .map(|_| Logic::from_bool(rng.gen()))
+                .collect();
+            let mut next = data.iter();
+            let row: Vec<Logic> = bv
+                .input_nets()
+                .iter()
+                .map(|n| {
+                    if keys.contains(n) {
+                        Logic::Zero
+                    } else {
+                        *next.next().unwrap()
+                    }
+                })
+                .collect();
+            let got = bv.eval(bypassed, &row);
+            let want = ov.eval(oracle, &data);
+            if keep.iter().all(|&j| got[j] == want[j]) {
+                matches += 1;
+            }
+        }
+        matches as f64 / samples as f64
+    }
+
+    /// Forced evaluation of one compiled view against the rebuild it
+    /// replaced: for every located candidate of s27/s298/s1238 locked by
+    /// SARLock, Anti-SAT, XOR and MUX over three seeds, and both tied
+    /// values, `BypassCheck::rate` equals the rebuilt netlist's rate
+    /// exactly and leaves the RNG in the same state — on the full design
+    /// (against `key_match_rate`) and on the reachable outputs (against a
+    /// scalar `CombView::eval` compare).
+    #[test]
+    fn forced_bypass_rates_equal_the_rebuilt_netlists() {
+        use crate::sat_attack::key_match_rate;
+        use glitchlock_core::locking::{AntiSat, MuxLock, XorLock};
+        const SAMPLES: usize = 200;
+        let benches = [
+            glitchlock_circuits::s27(),
+            glitchlock_circuits::generate(&glitchlock_circuits::profile_by_name("s298").unwrap()),
+            glitchlock_circuits::generate(&glitchlock_circuits::profile_by_name("s1238").unwrap()),
+        ];
+        let lockers: [&dyn LockScheme; 4] = [
+            &SarLock::new(3),
+            &AntiSat::new(3),
+            &XorLock::new(4),
+            &MuxLock::new(4),
+        ];
+        let (mut checks, mut restored) = (0, 0);
+        for oracle in &benches {
+            for locker in lockers {
+                for seed in 1..=3u64 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let locked = locker.lock(oracle, &mut rng).unwrap();
+                    let (view, keys) = (&locked.netlist, &locked.key_inputs);
+                    let mut check = BypassCheck::new(view, keys, oracle);
+                    let candidates = locate_point_function_tainted(view, keys, 512, 0.15, &mut rng);
+                    for (ci, &net) in candidates.iter().enumerate() {
+                        let keep = reachable_view_outputs(view, net);
+                        for value in [false, true] {
+                            let (bypassed, bkeys) = rebuilt(view, keys, net, value);
+                            let rng_seed = 1000 * seed + 2 * ci as u64 + u64::from(value);
+                            let at = |s: u64| StdRng::seed_from_u64(s);
+                            let (mut fast, mut slow) = (at(rng_seed), at(rng_seed));
+                            let got = check.rate(net, value, None, SAMPLES, &mut fast);
+                            let zeros = vec![false; bkeys.len()];
+                            let want = key_match_rate(
+                                &bypassed, &bkeys, &zeros, oracle, SAMPLES, &mut slow,
+                            );
+                            let at_net =
+                                format!("{} {} tied {value}", view.name(), view.net(net).name());
+                            assert_eq!(got, want, "full check, {at_net}");
+                            assert_eq!(fast.gen::<u64>(), slow.gen::<u64>(), "RNG, {at_net}");
+                            checks += 1;
+                            restored += usize::from(got == 1.0);
+
+                            let (mut fast, mut slow) = (at(rng_seed), at(rng_seed));
+                            let got = check.rate(net, value, Some(&keep), SAMPLES, &mut fast);
+                            let want = scalar_cone_rate(
+                                &bypassed, &bkeys, oracle, &keep, SAMPLES, &mut slow,
+                            );
+                            assert_eq!(got, want, "cone check, {at_net}");
+                            assert_eq!(fast.gen::<u64>(), slow.gen::<u64>(), "RNG, {at_net}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checks >= 80, "too few candidates to referee: {checks}");
+        assert!(restored > 0, "no candidate bypass restored its design");
+        assert!(
+            restored < checks,
+            "every candidate bypass restored its design"
+        );
     }
 
     #[test]

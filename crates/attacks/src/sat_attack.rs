@@ -14,7 +14,7 @@
 use crate::cancel::CancelToken;
 use crate::oracle::ComboOracle;
 use glitchlock_netlist::{
-    Aig, AigLit, CombView, EvalProgram, Logic, NetId, Netlist, PackedLogic, LANES,
+    random_words, Aig, AigLit, CombView, EvalProgram, Logic, NetId, Netlist, PackedLogic, LANES,
 };
 use glitchlock_obs::{self as obs, names};
 use glitchlock_sat::{
@@ -748,14 +748,7 @@ pub fn key_match_rate(
     let mut done = 0usize;
     while done < samples {
         let lanes = LANES.min(samples - done);
-        // Draw sample-major so the consumed RNG stream matches the scalar
-        // one-pattern-at-a-time loop this replaces.
-        let mut data_words = vec![PackedLogic::splat(Logic::Zero); data_positions.len()];
-        for lane in 0..lanes {
-            for w in data_words.iter_mut() {
-                w.set(lane, Logic::from_bool(rng.gen()));
-            }
-        }
+        let data_words = random_words(|| rng.gen(), data_positions.len(), lanes);
         let mut di = 0;
         let locked_words: Vec<PackedLogic> = key_words
             .iter()

@@ -23,9 +23,7 @@ use crate::journal::JobRecord;
 use crate::spec::fnv1a64;
 use glitchlock_attacks::{
     appsat::AppSat,
-    removal::{
-        bypass_net, cone_bypass_match_rate, locate_point_function_tainted, reachable_view_outputs,
-    },
+    removal::{removal_attack, RemovalVerdict},
     sat_attack::key_match_rate,
     scan::{scan_hypothesis_attack, GkResolution},
     seq_sat::{seq_sat_attack_with_config, SeqSatOutcome},
@@ -337,88 +335,28 @@ pub fn execute(job: &JobSpec, tuning: &Tuning, cancel: &CancelToken) -> JobRecor
             // patterns, so the skew threshold must sit above that; the
             // key-taint prune discards skew artifacts outside every key
             // cone, and bypass verification culls whatever it lets in.
-            let candidates =
-                locate_point_function_tainted(&view, &key_inputs, tuning.samples, 0.15, &mut rng);
-            record.iterations = candidates.len() as u64;
-            if candidates.is_empty() {
-                record.verdict = "nothing-located".to_string();
-            } else {
-                let mut best_rate = 0.0_f64;
-                let mut removed: Option<String> = None;
-                for &net in &candidates {
-                    for value in [false, true] {
-                        let bypassed = bypass_net(&view, net, value);
-                        let keys = relocate_inputs(&view, &key_inputs, &bypassed);
-                        let rate = key_match_rate(
-                            &bypassed,
-                            &keys,
-                            &vec![false; keys.len()],
-                            &oracle,
-                            tuning.samples,
-                            &mut rng,
-                        );
-                        if rate > best_rate {
-                            best_rate = rate;
-                        }
-                        if rate >= PERFECT {
-                            removed = Some(view.net(net).name().to_string());
-                            break;
-                        }
-                    }
-                    if removed.is_some() {
-                        break;
-                    }
+            let outcome =
+                removal_attack(&view, &key_inputs, &oracle, tuning.samples, 0.15, &mut rng);
+            record.iterations = outcome.candidates as u64;
+            let (best, cone) = (outcome.best_rate, outcome.cone_best);
+            match outcome.verdict {
+                RemovalVerdict::NothingLocated => {
+                    record.verdict = "nothing-located".to_string();
                 }
-                match removed {
-                    Some(net) => {
-                        record.verdict = "point-function-removed".to_string();
-                        record.detail = format!("bypassed {net}");
-                    }
-                    None => {
-                        // Full-design verification also demands outputs
-                        // the candidate never reaches match the oracle —
-                        // impossible when other key-gates corrupt them.
-                        // Retry on the extracted cone of each candidate's
-                        // reachable outputs before giving up.
-                        let mut cone_best = 0.0_f64;
-                        let mut cone_removed: Option<String> = None;
-                        'cone: for &net in &candidates {
-                            let keep = reachable_view_outputs(&view, net);
-                            if keep.is_empty() {
-                                continue;
-                            }
-                            for value in [false, true] {
-                                let bypassed = bypass_net(&view, net, value);
-                                let keys = relocate_inputs(&view, &key_inputs, &bypassed);
-                                let rate = cone_bypass_match_rate(
-                                    &bypassed,
-                                    &keys,
-                                    &vec![false; keys.len()],
-                                    &oracle,
-                                    &keep,
-                                    tuning.samples,
-                                    &mut rng,
-                                );
-                                cone_best = cone_best.max(rate);
-                                if rate >= PERFECT {
-                                    cone_removed = Some(view.net(net).name().to_string());
-                                    break 'cone;
-                                }
-                            }
-                        }
-                        match cone_removed {
-                            Some(net) => {
-                                record.verdict = "cone-bypassed".to_string();
-                                record.detail =
-                                    format!("bypassed {net} on its cone; full rate {best_rate:.4}");
-                            }
-                            None => {
-                                record.verdict = "located-not-removed".to_string();
-                                record.detail =
-                                    format!("best match rate {best_rate:.4} (cone {cone_best:.4})");
-                            }
-                        }
-                    }
+                RemovalVerdict::Removed(net) => {
+                    record.verdict = "point-function-removed".to_string();
+                    record.detail = format!("bypassed {}", view.net(net).name());
+                }
+                RemovalVerdict::ConeBypassed(net) => {
+                    record.verdict = "cone-bypassed".to_string();
+                    record.detail = format!(
+                        "bypassed {} on its cone; full rate {best:.4}",
+                        view.net(net).name()
+                    );
+                }
+                RemovalVerdict::NotRemoved => {
+                    record.verdict = "located-not-removed".to_string();
+                    record.detail = format!("best match rate {best:.4} (cone {cone:.4})");
                 }
             }
         }
@@ -507,20 +445,6 @@ pub(crate) fn lock(
             .map(|l| (l.attack_view, l.attack_key_inputs))
             .map_err(as_err),
     }
-}
-
-/// Maps nets from `from` into `to` by input name — [`bypass_net`] rebuilds
-/// the netlist, so `NetId`s do not carry over but input names do.
-fn relocate_inputs(from: &Netlist, nets: &[NetId], to: &Netlist) -> Vec<NetId> {
-    nets.iter()
-        .filter_map(|&n| {
-            let name = from.net(n).name();
-            to.input_nets()
-                .iter()
-                .copied()
-                .find(|&cand| to.net(cand).name() == name)
-        })
-        .collect()
 }
 
 #[cfg(test)]

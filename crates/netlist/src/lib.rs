@@ -70,5 +70,6 @@ pub use kind::GateKind;
 pub use logic::Logic;
 pub use netlist::{Cell, Net, Netlist, NetlistStats};
 pub use packed::{
-    pack_bool_patterns, unpack_lane, EvalProgram, PackedBuf, PackedLogic, PackedSeqState, LANES,
+    pack_bool_patterns, random_words, unpack_lane, EvalProgram, PackedBuf, PackedLogic,
+    PackedSeqState, LANES,
 };

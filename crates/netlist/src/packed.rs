@@ -540,6 +540,32 @@ pub fn pack_bool_patterns(patterns: &[impl AsRef<[bool]>], width: usize) -> Vec<
         .collect()
 }
 
+/// Draws `width` words of random known levels for patterns `0..lanes`,
+/// sample-major: every input of pattern 0, then every input of pattern 1,
+/// and so on. The bit source is consumed exactly as a one-pattern-at-a-time
+/// scalar loop would consume it. Lanes past `lanes` read `0`.
+///
+/// `next_bit` is usually `|| rng.gen()`; taking a closure keeps this crate
+/// free of an RNG dependency.
+///
+/// # Panics
+///
+/// Panics if `lanes > LANES`.
+pub fn random_words(
+    mut next_bit: impl FnMut() -> bool,
+    width: usize,
+    lanes: usize,
+) -> Vec<PackedLogic> {
+    assert!(lanes <= LANES, "at most {LANES} lanes per word");
+    let mut words = vec![PackedLogic::ZERO; width];
+    for lane in 0..lanes {
+        for w in words.iter_mut() {
+            w.val |= u64::from(next_bit()) << lane;
+        }
+    }
+    words
+}
+
 /// Unpacks lane `lane` of a word list back into a scalar row.
 pub fn unpack_lane(words: &[PackedLogic], lane: usize) -> Vec<Logic> {
     words.iter().map(|w| w.get(lane)).collect()
@@ -721,6 +747,32 @@ mod tests {
                     "cycle {cycle} lane {lane}"
                 );
             }
+        }
+    }
+
+    /// `random_words` reproduces the per-lane `set` loop it replaced, word
+    /// for word, and leaves the RNG where that loop left it — on a full
+    /// word and on the 40-lane tail of 1000 samples.
+    #[test]
+    fn random_words_match_the_per_lane_set_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (width, lanes) in [(7, LANES), (7, 1000 % LANES), (1, 1), (0, LANES)] {
+            let mut fast = StdRng::seed_from_u64(97);
+            let mut slow = fast.clone();
+            let got = random_words(|| fast.gen(), width, lanes);
+            let mut want = vec![PackedLogic::splat(Logic::Zero); width];
+            for lane in 0..lanes {
+                for w in want.iter_mut() {
+                    w.set(lane, Logic::from_bool(slow.gen()));
+                }
+            }
+            assert_eq!(got, want, "width {width}, lanes {lanes}");
+            assert_eq!(
+                fast.gen::<u64>(),
+                slow.gen::<u64>(),
+                "RNG state after width {width}, lanes {lanes}"
+            );
         }
     }
 

@@ -172,6 +172,9 @@ pub const ANALYSIS_WIDENED: &str = "analysis.widened";
 /// Removal-attack point-function candidates discarded because no key
 /// taint reaches them.
 pub const REMOVAL_TAINT_PRUNED: &str = "removal.taint_pruned";
+/// Removal-attack bypass checks: one per candidate net and tied value
+/// verified against the oracle, full-design and cone checks alike.
+pub const REMOVAL_BYPASS_CHECKS: &str = "removal.bypass_checks";
 
 /// Corruption-score computations (one per locked design scored).
 pub const COUNT_RUNS: &str = "count.runs";
