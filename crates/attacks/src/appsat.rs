@@ -19,7 +19,6 @@ use crate::cancel::CancelToken;
 use crate::sat_attack::MiterSession;
 use glitchlock_netlist::{NetId, Netlist};
 use glitchlock_obs::{self as obs, names};
-use glitchlock_sat::{EncoderKind, SolverBackend};
 use rand::Rng;
 
 /// Result of an AppSAT run.
@@ -52,10 +51,6 @@ pub struct AppSat {
     pub settle_error_rate: f64,
     /// Hard cap on total DIP iterations.
     pub max_iterations: usize,
-    /// Which CDCL strategy profile drives the miter solves.
-    pub backend: SolverBackend,
-    /// Which CNF encoder builds the miter.
-    pub encoder: EncoderKind,
 }
 
 impl Default for AppSat {
@@ -65,8 +60,6 @@ impl Default for AppSat {
             probes: 64,
             settle_error_rate: 0.01,
             max_iterations: 512,
-            backend: SolverBackend::default(),
-            encoder: EncoderKind::default(),
         }
     }
 }
@@ -106,8 +99,7 @@ impl AppSat {
         let round_counter = obs::counter(names::APPSAT_ROUNDS);
         let dip_counter = obs::counter(names::APPSAT_DIPS);
         let probe_counter = obs::counter(names::APPSAT_PROBES);
-        let mut session =
-            MiterSession::with_config(locked, key_inputs, &[], oracle, self.backend, self.encoder);
+        let mut session = MiterSession::new(locked, key_inputs, &[], oracle);
         let mut dip_iterations = 0;
         loop {
             if cancel.is_some_and(|c| c.is_cancelled()) {

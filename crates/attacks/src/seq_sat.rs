@@ -16,7 +16,7 @@ use crate::cancel::CancelToken;
 use crate::oracle::ComboOracle;
 use glitchlock_netlist::{CombView, NetId, Netlist};
 use glitchlock_obs::{self as obs, names};
-use glitchlock_sat::{encode_comb_with, EncoderKind, Lit, SatResult, Solver, SolverBackend, Var};
+use glitchlock_sat::{encode_comb_with, Lit, SatResult, Solver, Var};
 
 /// Outcome of the sequential attack.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,62 +82,6 @@ pub fn seq_sat_attack_with_cancel(
     max_iterations: usize,
     cancel: Option<&CancelToken>,
 ) -> SeqSatResult {
-    seq_sat_attack_with_backend(
-        locked,
-        key_inputs,
-        oracle,
-        depth,
-        max_iterations,
-        cancel,
-        SolverBackend::default(),
-    )
-}
-
-/// [`seq_sat_attack_with_cancel`] on an explicit solver backend, so
-/// campaigns can A/B the CDCL strategy profiles.
-///
-/// # Panics
-///
-/// Same contract as [`seq_sat_attack`].
-pub fn seq_sat_attack_with_backend(
-    locked: &Netlist,
-    key_inputs: &[NetId],
-    oracle: &Netlist,
-    depth: usize,
-    max_iterations: usize,
-    cancel: Option<&CancelToken>,
-    backend: SolverBackend,
-) -> SeqSatResult {
-    seq_sat_attack_with_config(
-        locked,
-        key_inputs,
-        oracle,
-        depth,
-        max_iterations,
-        cancel,
-        backend,
-        EncoderKind::default(),
-    )
-}
-
-/// [`seq_sat_attack_with_backend`] on an explicit CNF encoder as well —
-/// every unrolled copy goes through the selected encoding, so the AIG
-/// path strashes shared per-frame logic before any clause is emitted.
-///
-/// # Panics
-///
-/// Same contract as [`seq_sat_attack`].
-#[allow(clippy::too_many_arguments)]
-pub fn seq_sat_attack_with_config(
-    locked: &Netlist,
-    key_inputs: &[NetId],
-    oracle: &Netlist,
-    depth: usize,
-    max_iterations: usize,
-    cancel: Option<&CancelToken>,
-    backend: SolverBackend,
-    encoder: EncoderKind,
-) -> SeqSatResult {
     let view = CombView::new(locked);
     let n_po = locked.output_ports().len();
     assert_eq!(
@@ -160,7 +104,7 @@ pub fn seq_sat_attack_with_config(
         "data inputs must align with the oracle"
     );
 
-    let mut solver = Solver::with_backend(backend);
+    let mut solver = Solver::new();
     // Key variables for the two copies (constant across time frames).
     let key1: Vec<Var> = key_pos.iter().map(|_| solver.new_var()).collect();
     let key2: Vec<Var> = key_pos.iter().map(|_| solver.new_var()).collect();
@@ -196,7 +140,7 @@ pub fn seq_sat_attack_with_config(
             for (si, sv) in state.iter().enumerate() {
                 pinned[n_pi + si] = Some(*sv);
             }
-            let ports = encode_comb_with(solver, locked, &view, &pinned, encoder);
+            let ports = encode_comb_with(solver, locked, &view, &pinned);
             let pos = ports.output_vars[..n_po].to_vec();
             let next = ports.output_vars[n_po..].to_vec();
             (pos, next)
@@ -302,7 +246,7 @@ pub fn seq_sat_attack_with_config(
                         for (si, sv) in state.iter().enumerate() {
                             pinned[n_pi + si] = Some(*sv);
                         }
-                        let ports = encode_comb_with(&mut solver, locked, &view, &pinned, encoder);
+                        let ports = encode_comb_with(&mut solver, locked, &view, &pinned);
                         for (j, &ov) in ports.output_vars[..n_po].iter().enumerate() {
                             solver.add_clause(&[Lit::with_sign(ov, !responses[t][j])]);
                         }

@@ -12,8 +12,8 @@
 //! * `figures` — textual reproductions of the timing diagrams and window
 //!   analyses of Figs. 4, 6, 7 and 9.
 //!
-//! Benches (`cargo bench -p glitchlock-bench`): `sat_solver`, `simulator`,
-//! `locking`, `attack`, `packed_eval`.
+//! Benches (`cargo bench -p glitchlock-bench`): `simulator`, `locking`,
+//! `attack`, `packed_eval`.
 
 #![deny(missing_docs)]
 

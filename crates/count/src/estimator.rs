@@ -29,7 +29,7 @@
 
 use crate::xor::{draw_rows, encode_row_into};
 use glitchlock_obs::{self as obs, names};
-use glitchlock_sat::{CnfSink, IncrementalSolver, Lit, SatResult, Var};
+use glitchlock_sat::{Lit, SatResult, Solver, Var};
 use rand::rngs::StdRng;
 
 /// The `(ε, δ)` knobs of one approximate count.
@@ -99,8 +99,8 @@ pub struct ApproxCount {
 /// Enumerates projected solutions under `assumptions`, stopping once the
 /// count exceeds `limit` (returns `limit + 1` to mean "more"). Blocking
 /// clauses ride a fresh guard variable retired on exit.
-fn enumerate_cells<S: IncrementalSolver>(
-    solver: &mut S,
+fn enumerate_cells(
+    solver: &mut Solver,
     assumptions: &[Lit],
     projection: &[Var],
     limit: u64,
@@ -190,11 +190,11 @@ fn crossover(
 /// model of the solver's formula under `base` assumptions.
 ///
 /// All randomness comes from `rng`; identical seeds give identical
-/// estimates regardless of solver backend or CNF encoder, because rows
-/// are drawn over projection positions and cell counts are exact
-/// enumerations.
-pub fn approx_count<S: IncrementalSolver + CnfSink>(
-    solver: &mut S,
+/// estimates regardless of the solver's search state or variable
+/// numbering, because rows are drawn over projection positions and cell
+/// counts are exact enumerations.
+pub fn approx_count(
+    solver: &mut Solver,
     base: &[Lit],
     projection: &[Var],
     params: &CountParams,
@@ -278,7 +278,6 @@ pub fn approx_count<S: IncrementalSolver + CnfSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glitchlock_sat::{Solver, SolverBackend};
     use rand::{Rng, SeedableRng};
 
     fn free_vars(solver: &mut Solver, n: usize) -> Vec<Var> {
@@ -537,18 +536,26 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_deterministic_and_backend_independent() {
-        let build = |backend: SolverBackend| {
-            let mut solver = Solver::with_backend(backend);
+    fn estimates_are_deterministic_and_search_state_independent() {
+        // `offset` unrelated variables shift every solver variable id, and
+        // a warm-up solve leaves saved phases and activities behind: the
+        // estimate must not notice either.
+        let build = |offset: usize, warm: bool| {
+            let mut solver = Solver::new();
+            free_vars(&mut solver, offset);
             let vars = free_vars(&mut solver, 9);
             solver.add_clause(&[Lit::pos(vars[0]), Lit::pos(vars[1])]);
+            if warm {
+                let flip: Vec<Lit> = vars.iter().map(|&v| Lit::pos(v)).collect();
+                assert_eq!(solver.solve_with(&flip), SatResult::Sat);
+            }
             let mut rng = StdRng::seed_from_u64(5);
             approx_count(&mut solver, &[], &vars, &CountParams::default(), &mut rng).estimate
         };
-        let legacy = build(SolverBackend::Legacy);
-        let modern = build(SolverBackend::Modern);
-        assert_eq!(legacy, modern);
-        assert_eq!(modern, build(SolverBackend::Modern));
+        let cold = build(0, false);
+        assert_eq!(cold, build(0, false));
+        assert_eq!(cold, build(7, false));
+        assert_eq!(cold, build(0, true));
     }
 
     #[test]

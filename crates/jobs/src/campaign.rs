@@ -147,8 +147,6 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, String> {
     let tuning = Tuning {
         max_iterations: config.spec.max_iterations,
         samples: config.spec.samples,
-        solver: config.spec.solver,
-        encoder: config.spec.encoder,
     };
 
     let state = Mutex::new(Retired {

@@ -52,4 +52,4 @@ pub use job::{AttackKind, JobSpec, LockerKind, Tuning};
 pub use journal::{JobRecord, JournalWriter};
 pub use merge::{merge_journals, parse_shard};
 pub use pool::{parallel_map, run_pool, worker_count, Attempt, JobTermination, PoolConfig};
-pub use spec::{fnv1a64, CampaignSpec, CountDirective};
+pub use spec::{check_retired, fnv1a64, CampaignSpec, CountDirective};

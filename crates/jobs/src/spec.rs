@@ -21,9 +21,13 @@
 //! Parsing is strict (unknown directives are errors) and re-rendering is
 //! canonical, so [`CampaignSpec::hash`] identifies the matrix: the journal
 //! stores it and `--resume` refuses to mix records across specs.
+//!
+//! `solver` and `encoder` once chose between two CDCL profiles and two
+//! CNF encoders; each now names the one that remains (see [`RETIRED`]).
+//! The rendering still carries both lines, so spec hashes, journals and
+//! the count-row seeds derived from the rendering are unchanged.
 
 use crate::job::{AttackKind, JobSpec, LockerKind};
-use glitchlock_sat::{EncoderKind, SolverBackend};
 
 /// FNV-1a over a string, the workspace's stock stable hash. Used for the
 /// spec fingerprint and for deriving per-job RNG seeds from job ids.
@@ -38,7 +42,7 @@ pub fn fnv1a64(text: &str) -> u64 {
 
 /// Tuning for the optional corruptibility-counting pass: the `count
 /// <epsilon> <delta> <max-bits> <exact-bits>` directive. Fingerprint
-/// relevant, like `solver`/`encoder`.
+/// relevant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CountDirective {
     /// Estimator multiplicative tolerance.
@@ -49,6 +53,29 @@ pub struct CountDirective {
     pub max_bits: usize,
     /// Run the exhaustive ground-truth sweep at or below this width.
     pub exact_bits: usize,
+}
+
+/// Settings that once chose between two implementations, as
+/// `(name, kept, removed)`. Specs, journals and wire requests that name
+/// the kept value keep working; the removed one is refused by name.
+pub const RETIRED: [(&str, &str, &str); 2] =
+    [("solver", "modern", "legacy"), ("encoder", "aig", "flat")];
+
+/// Checks the value a spec line or request gives a [`RETIRED`] setting.
+///
+/// # Errors
+///
+/// A message naming the setting and the value: the removed value is
+/// reported as removed, anything else as unknown.
+pub fn check_retired(name: &str, value: &str) -> Result<(), String> {
+    match RETIRED.iter().find(|(n, ..)| *n == name) {
+        Some(&(_, kept, _)) if value == kept => Ok(()),
+        Some(&(_, kept, removed)) if value == removed => Err(format!(
+            "{name} `{removed}` was removed; `{kept}` is the only {name}"
+        )),
+        Some(&(_, kept, _)) => Err(format!("unknown {name} `{value}` (only `{kept}` remains)")),
+        None => Err(format!("unknown setting `{name}`")),
+    }
 }
 
 /// A parsed campaign spec: the job matrix plus shared tuning.
@@ -70,10 +97,6 @@ pub struct CampaignSpec {
     pub max_iterations: usize,
     /// Sample count for skew scans and key-verification probes.
     pub samples: usize,
-    /// CDCL backend driving every SAT-based attack in the campaign.
-    pub solver: SolverBackend,
-    /// CNF encoder behind every SAT-based attack (`flat` or `aig`).
-    pub encoder: EncoderKind,
     /// When set, the report gains corruptibility columns (err/dip/W)
     /// computed by `glitchlock_count` at render time.
     pub count: Option<CountDirective>,
@@ -90,8 +113,6 @@ impl Default for CampaignSpec {
             retries: 1,
             max_iterations: 512,
             samples: 1024,
-            solver: SolverBackend::default(),
-            encoder: EncoderKind::default(),
             count: None,
         }
     }
@@ -186,19 +207,11 @@ impl CampaignSpec {
                     };
                     spec.samples = v.parse().map_err(|_| at(format!("bad samples `{v}`")))?;
                 }
-                "encoder" => {
+                "solver" | "encoder" => {
                     let [v] = args[..] else {
-                        return Err(at("encoder takes one value (`flat` or `aig`)".into()));
+                        return Err(at(format!("{directive} takes one value")));
                     };
-                    spec.encoder = EncoderKind::parse(v)
-                        .ok_or_else(|| at(format!("unknown encoder `{v}`")))?;
-                }
-                "solver" => {
-                    let [v] = args[..] else {
-                        return Err(at("solver takes one value (`legacy` or `modern`)".into()));
-                    };
-                    spec.solver = SolverBackend::parse(v)
-                        .ok_or_else(|| at(format!("unknown solver backend `{v}`")))?;
+                    check_retired(directive, v).map_err(at)?;
                 }
                 "count" => {
                     let [eps, delta, max_bits, exact_bits] = args[..] else {
@@ -266,8 +279,9 @@ impl CampaignSpec {
         let _ = writeln!(out, "retries {}", self.retries);
         let _ = writeln!(out, "max-iters {}", self.max_iterations);
         let _ = writeln!(out, "samples {}", self.samples);
-        let _ = writeln!(out, "solver {}", self.solver.tag());
-        let _ = writeln!(out, "encoder {}", self.encoder.tag());
+        for (name, kept, _) in RETIRED {
+            let _ = writeln!(out, "{name} {kept}");
+        }
         if let Some(c) = &self.count {
             let _ = writeln!(
                 out,
@@ -361,32 +375,42 @@ samples 512\n";
 
     #[test]
     fn solver_directive_selects_the_backend() {
+        // `modern` is the only profile left: naming it is a no-op that
+        // keeps the hash, `legacy` is refused as removed.
         let base = "bench s27\nlocker xor 4\nattack sat\n";
         let spec = CampaignSpec::parse(base).unwrap();
-        assert_eq!(spec.solver, SolverBackend::Modern, "modern is the default");
-        let legacy = CampaignSpec::parse(&format!("{base}solver legacy\n")).unwrap();
-        assert_eq!(legacy.solver, SolverBackend::Legacy);
-        assert_ne!(spec.hash(), legacy.hash(), "backend is part of the matrix");
-        let rendered = legacy.render();
-        assert!(rendered.contains("solver legacy\n"));
-        assert_eq!(CampaignSpec::parse(&rendered).unwrap(), legacy);
-        assert!(CampaignSpec::parse(&format!("{base}solver warp\n")).is_err());
+        let modern = CampaignSpec::parse(&format!("{base}solver modern\n")).unwrap();
+        assert_eq!(modern, spec);
+        // The hash this spec had while `solver` still chose a profile.
+        assert_eq!(modern.hash(), "38d5fbb5a08e7e1f");
+        assert!(spec.render().contains("solver modern\n"));
+        let err = CampaignSpec::parse(&format!("{base}solver legacy\n")).unwrap_err();
+        assert!(
+            err.contains("line 4") && err.contains("was removed"),
+            "{err}"
+        );
+        let err = CampaignSpec::parse(&format!("{base}solver warp\n")).unwrap_err();
+        assert!(err.contains("unknown solver `warp`"), "{err}");
         assert!(CampaignSpec::parse(&format!("{base}solver\n")).is_err());
     }
 
     #[test]
     fn encoder_directive_selects_the_encoder() {
+        // `aig` is the only encoder left: naming it is a no-op that keeps
+        // the hash, `flat` is refused as removed.
         let base = "bench s27\nlocker xor 4\nattack sat\n";
         let spec = CampaignSpec::parse(base).unwrap();
-        assert_eq!(spec.encoder, EncoderKind::Aig, "aig is the default");
-        let flat = CampaignSpec::parse(&format!("{base}encoder flat\n")).unwrap();
-        assert_eq!(flat.encoder, EncoderKind::Flat);
-        assert_ne!(spec.hash(), flat.hash(), "encoder is part of the matrix");
-        let rendered = flat.render();
-        assert!(rendered.contains("encoder flat\n"));
-        assert_eq!(CampaignSpec::parse(&rendered).unwrap(), flat);
+        let aig = CampaignSpec::parse(&format!("{base}encoder aig\n")).unwrap();
+        assert_eq!(aig, spec);
+        assert_eq!(aig.hash(), spec.hash());
+        assert!(spec.render().contains("encoder aig\n"));
+        let err = CampaignSpec::parse(&format!("{base}encoder flat\n")).unwrap_err();
+        assert!(
+            err.contains("line 4") && err.contains("was removed"),
+            "{err}"
+        );
         assert!(CampaignSpec::parse(&format!("{base}encoder warp\n")).is_err());
-        assert!(CampaignSpec::parse(&format!("{base}encoder\n")).is_err());
+        assert!(CampaignSpec::parse(&format!("{base}encoder aig aig\n")).is_err());
     }
 
     #[test]

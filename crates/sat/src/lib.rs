@@ -5,21 +5,17 @@
 //! set has none, so this crate implements one from scratch:
 //!
 //! * [`Solver`] — conflict-driven clause learning with two-watched-literal
-//!   propagation, first-UIP conflict analysis, and VSIDS branching with
-//!   phase saving. Two strategy profiles are selectable via
-//!   [`SolverBackend`]: `legacy` (Luby restarts, activity-based clause
-//!   reduction) and `modern` (glucose-style LBD clause management, EMA
-//!   restarts with trail-depth blocking, best-phase rephasing). Supports
-//!   incremental clause addition between solves and solving under
-//!   assumptions with unsat-core extraction
-//!   ([`Solver::failed_assumptions`]) — all used by the attack's DIP loop.
-//!   The incremental surface is abstracted by [`IncrementalSolver`].
+//!   propagation, first-UIP conflict analysis, VSIDS branching with phase
+//!   saving, glucose-style LBD clause management, EMA restarts with
+//!   trail-depth blocking, and best-phase rephasing. Supports incremental
+//!   clause addition between solves and solving under assumptions with
+//!   unsat-core extraction ([`Solver::failed_assumptions`]) — all used by
+//!   the attack's DIP loop.
 //! * [`Cnf`]/[`Lit`]/[`Var`] — clause database types.
-//! * [`tseitin`] — the Tseitin transformation from a gate-level netlist's
-//!   combinational view to CNF, one variable per net.
-//! * [`encoder`] — encoder selection ([`EncoderKind`]): the flat per-net
-//!   Tseitin above, or a strash-deduplicated And-Inverter-Graph encoding
-//!   (one 3-clause gate per AND node, the `--encoder aig` default).
+//! * [`encoder`] — the netlist-to-CNF encoder: the combinational view
+//!   (primary inputs and flip-flop Q pins free, every other net its gate
+//!   function) is lowered into a strash-deduplicated And-Inverter Graph
+//!   and emitted as one 3-clause Tseitin gate per AND node.
 //!
 //! # Example
 //!
@@ -40,7 +36,6 @@
 
 #![deny(missing_docs)]
 
-mod backend;
 mod clause;
 mod cnf;
 pub mod dimacs;
@@ -50,10 +45,7 @@ mod heap;
 mod reduce;
 mod restart;
 mod solver;
-pub mod tseitin;
 
-pub use backend::{IncrementalSolver, SolverBackend};
 pub use cnf::{Cnf, Lit, Var};
-pub use encoder::{encode_aig_into, encode_comb_with, AigPorts, EncodedIo, EncoderKind};
+pub use encoder::{encode_aig_into, encode_comb_with, AigPorts, CnfSink, EncodedIo};
 pub use solver::{SatResult, Solver, SolverStats};
-pub use tseitin::{encode_comb, encode_comb_into, CnfSink, EncodedPorts, Encoding};

@@ -95,9 +95,11 @@ pub struct AttackJob {
     pub max_iters: usize,
     /// Sample count for skew scans and verification probes.
     pub samples: usize,
-    /// CDCL backend (`legacy` | `modern`); `None` = server default.
+    /// Retired CDCL profile choice: `modern` (the only profile) or
+    /// absent; `legacy` is refused as removed.
     pub solver: Option<String>,
-    /// CNF encoder (`flat` | `aig`); `None` = server default.
+    /// Retired CNF encoder choice: `aig` (the only encoder) or absent;
+    /// `flat` is refused as removed.
     pub encoder: Option<String>,
 }
 

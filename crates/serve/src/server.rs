@@ -26,7 +26,8 @@ use crate::proto::{
 };
 use glitchlock_attacks::CancelToken;
 use glitchlock_jobs::{
-    deterministic_metrics, job, run_campaign, CampaignConfig, CampaignSpec, JobSpec, Tuning,
+    check_retired, deterministic_metrics, job, run_campaign, CampaignConfig, CampaignSpec, JobSpec,
+    Tuning,
 };
 use glitchlock_obs::{self as obs, json, names, SharedCollector};
 use std::collections::BTreeMap;
@@ -816,20 +817,13 @@ fn run_attack(attack: &AttackJob, token: &CancelToken) -> Reply {
     if let Err(e) = job::resolve_bench(&attack.bench) {
         return bad(e);
     }
-    let solver = match &attack.solver {
-        Some(tag) => match glitchlock_sat::SolverBackend::parse(tag) {
-            Some(solver) => solver,
-            None => return bad(format!("unknown solver `{tag}`")),
-        },
-        None => glitchlock_sat::SolverBackend::default(),
-    };
-    let encoder = match &attack.encoder {
-        Some(tag) => match glitchlock_sat::EncoderKind::parse(tag) {
-            Some(encoder) => encoder,
-            None => return bad(format!("unknown encoder `{tag}`")),
-        },
-        None => glitchlock_sat::EncoderKind::default(),
-    };
+    // `solver`/`encoder` name the one remaining profile and encoder:
+    // accepted as no-ops, the removed values refused by name.
+    for (name, tag) in [("solver", &attack.solver), ("encoder", &attack.encoder)] {
+        if let Some(Err(e)) = tag.as_deref().map(|t| check_retired(name, t)) {
+            return bad(e);
+        }
+    }
     let spec = JobSpec {
         bench: attack.bench.clone(),
         locker,
@@ -840,8 +834,6 @@ fn run_attack(attack: &AttackJob, token: &CancelToken) -> Reply {
     let tuning = Tuning {
         max_iterations: attack.max_iters,
         samples: attack.samples,
-        solver,
-        encoder,
     };
     let record = job::execute(&spec, &tuning, token);
     if token.is_cancelled() {

@@ -33,7 +33,6 @@ use glitchlock::core::GkEncryptor;
 use glitchlock::lint::{self, Diagnostic, Level, LintContext, LintRunner};
 use glitchlock::netlist::{bench_format, Logic, Netlist};
 use glitchlock::obs;
-use glitchlock::sat::{EncoderKind, SolverBackend};
 use glitchlock::sim::{ClockSpec, SimConfig, Simulator, Stimulus};
 use glitchlock::sta::{analyze, ClockModel};
 use glitchlock::stdcell::{Library, Ps};
@@ -51,12 +50,10 @@ usage: glk <subcommand> …
   glk lock-xor    <in.bench> <out.bench> [--bits N] [--seed S]
   glk lock-gk     <in.bench> <out-prefix> [--gks N] [--xor-bits N] [--period-ns N]
                   [--seed S] [--mix|--share] [OBS]
-  glk attack      <locked.bench> <oracle.bench> [--key-prefix P]
-                  [--solver legacy|modern] [--encoder flat|aig] [OBS]
+  glk attack      <locked.bench> <oracle.bench> [--key-prefix P] [OBS]
   glk count       <locked.bench> <oracle.bench> [--key-prefix P]
                   [--epsilon E] [--delta D] [--project keys|inputs]
-                  [--seed S] [--exact-bits N] [--max-bits N]
-                  [--solver legacy|modern] [--encoder flat|aig] [OBS]
+                  [--seed S] [--exact-bits N] [--max-bits N] [OBS]
   glk sim         <in.bench> [--cycles N] [--period-ns N] [--vcd out.vcd]
                   [--seed S] [OBS]
   glk verify      <locked.bench> <oracle.bench> --key 0,1,… [--cycles N]
@@ -74,8 +71,7 @@ usage: glk <subcommand> …
                   [--max-failures N] [--list-referees] [OBS]
   glk campaign    --spec <spec.txt> [--jobs N] [--out PREFIX] [--resume]
                   [--journal PATH] [--halt-after N] [--shard I/N]
-                  [--merge-journals a.jsonl,b.jsonl,…] [--solver legacy|modern]
-                  [--encoder flat|aig] [OBS]
+                  [--merge-journals a.jsonl,b.jsonl,…] [OBS]
   glk serve       [--addr HOST:PORT] [--max-inflight N] [--max-jobs N]
                   [--job-timeout-secs N] [--flush-micros N] [--allow-debug]
                   [OBS]
@@ -85,7 +81,6 @@ usage: glk <subcommand> …
   glk query       <addr> sweep <design> [--count N] [--seed S]
   glk query       <addr> attack <bench> --locker L --width N --attack A
                   [--seed S] [--max-iters N] [--samples N]
-                  [--solver legacy|modern] [--encoder flat|aig]
   glk query       <addr> campaign --spec <spec.txt> [--shard I/N]
                   [--journal PATH]
   glk query       <addr> sleep [--ms N]   (servers started with --allow-debug)
@@ -162,6 +157,16 @@ fn run() -> Result<(), String> {
         return Err(format!("missing subcommand (try `glk help`)\n{USAGE}"));
     };
     let args = Args::parse(argv);
+    // Unknown flags are ignored, but these once chose between CDCL
+    // profiles and CNF encoders: refuse them rather than drop them.
+    for (flag, ..) in glitchlock::jobs::spec::RETIRED {
+        if args.has(flag) {
+            return Err(format!(
+                "--{flag} was removed: there is one CDCL profile and one CNF encoder \
+                 (try `glk help`)"
+            ));
+        }
+    }
     match cmd.as_str() {
         "stats" => cmd_stats(&args),
         "sta" => cmd_sta(&args),
@@ -498,10 +503,7 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
         key_inputs.len(),
         names(&locked, &key_inputs)
     );
-    let mut attack = SatAttack::new(&locked, key_inputs, &oracle);
-    attack.backend = solver_flag(args)?.unwrap_or_default();
-    attack.encoder = encoder_flag(args)?.unwrap_or_default();
-    let result = attack.run();
+    let result = SatAttack::new(&locked, key_inputs, &oracle).run();
     match result.outcome {
         SatOutcome::KeyRecovered { key } => {
             let k: String = key.iter().map(|&b| if b { '1' } else { '0' }).collect();
@@ -556,8 +558,6 @@ fn cmd_count(args: &Args) -> Result<(), String> {
         delta: args.num("delta", defaults.delta)?,
         exact_bits: args.num("exact-bits", defaults.exact_bits)?,
         max_bits: args.num("max-bits", defaults.max_bits)?,
-        solver: solver_flag(args)?.unwrap_or_default(),
-        encoder: encoder_flag(args)?.unwrap_or_default(),
         seed: args.num("seed", defaults.seed)?,
     };
     let scores = corruption_scores(&locked, &key_inputs, &oracle, &cfg)?;
@@ -1189,13 +1189,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
         .ok_or("campaign needs --spec <spec.txt>")?;
     let text =
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-    let mut spec = CampaignSpec::parse(&text)?;
-    if let Some(backend) = solver_flag(args)? {
-        spec.solver = backend;
-    }
-    if let Some(encoder) = encoder_flag(args)? {
-        spec.encoder = encoder;
-    }
+    let spec = CampaignSpec::parse(&text)?;
     let out = args.flag("out").unwrap_or("campaign").to_string();
 
     // Merge mode: reassemble shard journals into the canonical report,
@@ -1420,8 +1414,8 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             seed: args.num("seed", 1u64)?,
             max_iters: args.num("max-iters", 512usize)?,
             samples: args.num("samples", 1024usize)?,
-            solver: args.flag("solver").map(str::to_string),
-            encoder: args.flag("encoder").map(str::to_string),
+            solver: None,
+            encoder: None,
         }),
         "campaign" => {
             let spec_path = args
@@ -1475,40 +1469,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             Ok(())
         }
         _ => Ok(()),
-    }
-}
-
-/// Parses `--solver legacy|modern`. `None` when the flag is absent, so
-/// callers can fall back to a spec's choice or the build default.
-fn solver_flag(args: &Args) -> Result<Option<SolverBackend>, String> {
-    match args.flag("solver") {
-        None => {
-            if args.has("solver") {
-                Err("--solver expects `legacy` or `modern`".to_string())
-            } else {
-                Ok(None)
-            }
-        }
-        Some(v) => SolverBackend::parse(v)
-            .map(Some)
-            .ok_or_else(|| format!("--solver expects `legacy` or `modern`, got {v:?}")),
-    }
-}
-
-/// Parses `--encoder flat|aig`. `None` when the flag is absent, so callers
-/// can fall back to a spec's choice or the build default.
-fn encoder_flag(args: &Args) -> Result<Option<EncoderKind>, String> {
-    match args.flag("encoder") {
-        None => {
-            if args.has("encoder") {
-                Err("--encoder expects `flat` or `aig`".to_string())
-            } else {
-                Ok(None)
-            }
-        }
-        Some(v) => EncoderKind::parse(v)
-            .map(Some)
-            .ok_or_else(|| format!("--encoder expects `flat` or `aig`, got {v:?}")),
     }
 }
 

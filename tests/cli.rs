@@ -194,6 +194,63 @@ fn errors_are_reported() {
     assert!(!out.status.success());
 }
 
+/// `--solver` and `--encoder` once chose between two CDCL profiles and
+/// two CNF encoders. `glk` ignores unknown flags, so these must be refused
+/// by name, on every subcommand and with any value; a campaign spec that
+/// names a removed value is refused too.
+#[test]
+fn removed_solver_and_encoder_choices_are_refused() {
+    let dir = tempdir("removed_solver_and_encoder_choices_are_refused");
+    let bench = write_s27(&dir);
+    let spec = dir.join("spec.txt");
+    for (sub, flag, value) in [
+        ("attack", "--solver", "legacy"),
+        ("attack", "--encoder", "aig"),
+        ("count", "--solver", "modern"),
+        ("count", "--encoder", "flat"),
+        ("campaign", "--solver", "legacy"),
+    ] {
+        std::fs::write(&spec, "bench s27\nlocker xor 3\nattack sat\n").unwrap();
+        let out = glk()
+            .arg(sub)
+            .arg(&bench)
+            .arg(&bench)
+            .arg("--spec")
+            .arg(&spec)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{sub} {flag} {value} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} was removed")) && err.contains("glk help"),
+            "{sub} {flag}: {err}"
+        );
+    }
+    for (line, removed) in [("solver legacy", "legacy"), ("encoder flat", "flat")] {
+        std::fs::write(
+            &spec,
+            format!("bench s27\nlocker xor 3\nattack sat\n{line}\n"),
+        )
+        .unwrap();
+        let out = glk()
+            .arg("campaign")
+            .arg("--spec")
+            .arg(&spec)
+            .arg("--out")
+            .arg(dir.join("refused"))
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "`{line}` was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("`{removed}` was removed")),
+            "`{line}`: {err}"
+        );
+        assert!(!dir.join("refused.report.txt").exists());
+    }
+}
+
 #[test]
 fn help_lists_every_subcommand() {
     let out = glk().arg("help").output().unwrap();

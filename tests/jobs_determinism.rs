@@ -98,43 +98,21 @@ fn report_is_independent_of_worker_count() {
     assert_eq!(serial.json, wide.json, "json report depends on --jobs");
 }
 
-/// Scheduling independence must hold per solver backend: the default spec
-/// (modern) is covered above; this pins the `solver legacy` directive and
-/// the `--solver` CLI override to the same contract.
+/// Specs written while `solver` and `encoder` still chose between two
+/// implementations keep working: naming the survivors renders the very
+/// same reports, spec hash included.
 #[test]
-fn report_is_independent_of_worker_count_for_each_backend() {
-    for backend in ["legacy", "modern"] {
-        let spec = format!("{SPEC}solver {backend}\n");
-        let serial = campaign_with_spec(
-            &tempdir(&format!("{backend}-serial")),
-            "run",
-            &spec,
-            &["--jobs", "1"],
-        );
-        let wide = campaign_with_spec(
-            &tempdir(&format!("{backend}-wide")),
-            "run",
-            &spec,
-            &["--jobs", "8"],
-        );
-        assert!(!serial.text.is_empty() && !serial.json.is_empty());
-        assert_eq!(serial.text, wide.text, "{backend}: text depends on --jobs");
-        assert_eq!(serial.json, wide.json, "{backend}: json depends on --jobs");
-
-        // `--solver <backend>` on a directive-free spec is the same
-        // campaign as the inline directive: byte-identical reports.
-        let flagged = campaign_with_spec(
-            &tempdir(&format!("{backend}-flag")),
-            "run",
-            SPEC,
-            &["--jobs", "8", "--solver", backend],
-        );
-        assert_eq!(
-            flagged.text, wide.text,
-            "{backend}: --solver flag diverges from the spec directive"
-        );
-        assert_eq!(flagged.json, wide.json, "{backend}: flagged json diverged");
-    }
+fn spelled_out_solver_and_encoder_directives_change_nothing() {
+    let plain = campaign(&tempdir("plain"), "run", &["--jobs", "8"]);
+    let spelled = campaign_with_spec(
+        &tempdir("spelled"),
+        "run",
+        &format!("{SPEC}solver modern\nencoder aig\n"),
+        &["--jobs", "8"],
+    );
+    assert!(!plain.text.is_empty() && !plain.json.is_empty());
+    assert_eq!(spelled.text, plain.text);
+    assert_eq!(spelled.json, plain.json);
 }
 
 /// The corruptibility columns ride the same contract: rows are computed

@@ -194,42 +194,6 @@ fn matrix_lands_every_cell_in_the_papers_outcome_class() {
 }
 
 #[test]
-fn flat_and_aig_encoders_reach_identical_verdicts() {
-    // The encoder is a performance lever, not a semantics lever: every
-    // cell of the matrix must land on the same verdict whether the miters
-    // are flat-Tseitin or strash-deduplicated AIG CNF.
-    let dir = tempdir("encoders");
-    let mut by_encoder = Vec::new();
-    for encoder in ["flat", "aig"] {
-        let spec = dir.join(format!("spec-{encoder}.txt"));
-        std::fs::write(&spec, format!("{SPEC}encoder {encoder}\n")).unwrap();
-        let out = dir.join(format!("conf-{encoder}"));
-        let output = glk()
-            .arg("campaign")
-            .arg("--spec")
-            .arg(&spec)
-            .args(["--jobs", "8"])
-            .arg("--out")
-            .arg(&out)
-            .output()
-            .unwrap();
-        assert!(
-            output.status.success(),
-            "campaign --encoder {encoder} failed: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        let json = std::fs::read_to_string(format!("{}.report.json", out.display())).unwrap();
-        by_encoder.push(verdicts(&json));
-    }
-    let (flat, aig) = (&by_encoder[0], &by_encoder[1]);
-    assert_eq!(flat.len(), aig.len());
-    for (id, (verdict, _)) in flat {
-        let (aig_verdict, _) = &aig[id];
-        assert_eq!(verdict, aig_verdict, "{id}: flat vs aig verdict");
-    }
-}
-
-#[test]
 fn corruptibility_rows_cover_the_matrix_with_the_gk_signature() {
     let dir = tempdir("corrupt");
     let (text, json_report) = run_conformance(&dir);

@@ -3,7 +3,7 @@
 //! deterministic PRNG, so failures reproduce exactly.
 
 use glitchlock::netlist::{bench_format, GateKind, Logic, Netlist, SeqState};
-use glitchlock::sat::{encode_comb, Lit, SatResult, Solver};
+use glitchlock::sat::{encode_comb_with, Cnf, Lit, SatResult, Solver};
 use glitchlock::stdcell::Ps;
 use glitchlock::synth::{optimize, plan_chain};
 use glitchlock::{core::windows::GkTiming, stdcell::Library};
@@ -155,8 +155,9 @@ fn optimize_preserves_combinational_behaviour() {
     }
 }
 
-/// The Tseitin encoding agrees with direct evaluation for a random
-/// input pattern on a random circuit.
+/// The CNF encoding (AIG lowering, then one Tseitin gate per AND node)
+/// agrees with direct evaluation for a random input pattern on a random
+/// circuit.
 #[test]
 fn tseitin_agrees_with_evaluation() {
     let mut rng = StdRng::seed_from_u64(0x7517);
@@ -164,12 +165,13 @@ fn tseitin_agrees_with_evaluation() {
         let (n_inputs, nl) = draw_netlist(&mut rng, 5, 24);
         let pattern: u16 = rng.gen::<u16>();
         let view = glitchlock::netlist::CombView::new(&nl);
-        let enc = encode_comb(&nl, &view);
+        let mut cnf = Cnf::new();
+        let io = encode_comb_with(&mut cnf, &nl, &view, &[]);
         let input_bools: Vec<bool> = (0..n_inputs).map(|i| pattern >> i & 1 == 1).collect();
         let logic: Vec<Logic> = input_bools.iter().map(|&b| Logic::from_bool(b)).collect();
         let expect = view.eval(&nl, &logic);
-        let mut solver = Solver::from_cnf(&enc.cnf);
-        let assumptions: Vec<Lit> = enc
+        let mut solver = Solver::from_cnf(&cnf);
+        let assumptions: Vec<Lit> = io
             .input_vars
             .iter()
             .zip(&input_bools)
@@ -180,7 +182,7 @@ fn tseitin_agrees_with_evaluation() {
             SatResult::Sat,
             "case {case}"
         );
-        for (i, &ov) in enc.output_vars.iter().enumerate() {
+        for (i, &ov) in io.output_vars.iter().enumerate() {
             assert_eq!(
                 solver.value(ov),
                 expect[i].to_bool(),

@@ -450,3 +450,49 @@ fn width_and_design_errors_are_typed() {
         }
     ));
 }
+
+/// `solver`/`encoder` on an attack request name the one remaining CDCL
+/// profile and CNF encoder: the survivors are no-ops, the removed values a
+/// typed bad request that says so.
+#[test]
+fn removed_solver_and_encoder_values_are_bad_requests() {
+    let server = start(ServerConfig::default(), Arc::new(Collector::new())).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut attack = |solver: Option<&str>, encoder: Option<&str>| {
+        let id = client.next_id();
+        let op = Op::Attack(AttackJob {
+            bench: "s27".to_string(),
+            locker: "xor".to_string(),
+            width: 3,
+            attack: "sat".to_string(),
+            seed: 1,
+            max_iters: 64,
+            samples: 256,
+            solver: solver.map(str::to_string),
+            encoder: encoder.map(str::to_string),
+        });
+        client.call(&Request { id, op }).expect("call").reply
+    };
+    let Reply::Attack { record: plain } = attack(None, None) else {
+        panic!("a plain attack request must run");
+    };
+    let Reply::Attack { record: spelled } = attack(Some("modern"), Some("aig")) else {
+        panic!("naming the surviving profile and encoder must run");
+    };
+    assert_eq!(spelled, plain);
+    for (solver, encoder, removed) in [
+        (Some("legacy"), None, "solver `legacy`"),
+        (None, Some("flat"), "encoder `flat`"),
+    ] {
+        match attack(solver, encoder) {
+            Reply::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            } => assert!(
+                message.contains(&format!("{removed} was removed")),
+                "{message}"
+            ),
+            other => panic!("{removed}: expected a bad request, got {other:?}"),
+        }
+    }
+}
